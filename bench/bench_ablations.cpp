@@ -19,15 +19,15 @@
 #include "bench/bench_util.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
 #include "factorized/factorized_gramian.h"
+#include "factorized/factorized_operand.h"
 #include "laopt/cse.h"
 #include "laopt/fusion.h"
 #include "laopt/executor.h"
 #include "modelsel/model_selection.h"
 #include "la/kernels.h"
 #include "ml/metrics.h"
-#include "ml/sparse_glm.h"
+#include "ml/unified_trainers.h"
 #include "modelsel/successive_halving.h"
 #include "ps/parameter_server.h"
 #include "relational/sort_merge_join.h"
@@ -161,7 +161,8 @@ void SolverAblation(const BenchContext& ctx) {
   TablePrinter table({"method", "ms", "loss"});
   {
     Stopwatch w;
-    auto model = factorized::TrainFactorizedGlm(nm, ds.y, gd);
+    auto model = ml::TrainGlmOnOperand(
+        factorized::MakeFactorizedOperand(laopt::Borrow(nm)), ds.y, gd);
     double ms = w.ElapsedMillis();
     if (!model.ok()) std::exit(1);
     table.Row({"fact_bgd", Fmt(ms, 1), Fmt(model->loss_history.back(), 4)});
@@ -169,7 +170,7 @@ void SolverAblation(const BenchContext& ctx) {
   }
   {
     Stopwatch w;
-    auto model = factorized::TrainMaterializedGlm(nm, ds.y, gd);
+    auto model = ml::TrainGlm(nm.Materialize(), ds.y, gd);
     double ms = w.ElapsedMillis();
     if (!model.ok()) std::exit(1);
     table.Row({"mat_bgd", Fmt(ms, 1), Fmt(model->loss_history.back(), 4)});
@@ -343,7 +344,7 @@ void SparseTrainingAblation(const BenchContext& ctx) {
     auto dense_model = ml::TrainGlm(dense, y, config);
     double dense_ms = w1.ElapsedMillis();
     Stopwatch w2;
-    auto sparse_model = ml::TrainGlmSparse(sparse, y, config);
+    auto sparse_model = ml::TrainGlmOnOperand(laopt::Borrow(sparse), y, config);
     double sparse_ms = w2.ElapsedMillis();
     if (!dense_model.ok() || !sparse_model.ok()) std::exit(1);
     table.Row({Fmt(density, 2), Fmt(dense_ms, 1), Fmt(sparse_ms, 1),

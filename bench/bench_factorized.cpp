@@ -16,8 +16,9 @@
 
 #include "bench/bench_util.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
+#include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
+#include "ml/unified_trainers.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -50,10 +51,11 @@ CellResult RunCell(size_t ns, size_t nr, size_t ds_cols, size_t dr, size_t epoch
   config.tolerance = 0;  // Fixed work per cell.
 
   Stopwatch w1;
-  auto fact = factorized::TrainFactorizedGlm(nm, dataset.y, config);
+  auto fact = ml::TrainGlmOnOperand(
+      factorized::MakeFactorizedOperand(laopt::Borrow(nm)), dataset.y, config);
   double fact_ms = w1.ElapsedMillis();
   Stopwatch w2;
-  auto mat = factorized::TrainMaterializedGlm(nm, dataset.y, config);
+  auto mat = ml::TrainGlm(nm.Materialize(), dataset.y, config);
   double mat_ms = w2.ElapsedMillis();
   if (!fact.ok() || !mat.ok()) {
     std::fprintf(stderr, "training failed: %s %s\n",

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "cla/compressed_glm.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "laopt/analysis.h"
@@ -184,14 +183,13 @@ int main(int argc, char** argv) {
     double hand_ms = std::numeric_limits<double>::infinity();
     double unified_ms = std::numeric_limits<double>::infinity();
     double profiled_ms = std::numeric_limits<double>::infinity();
-    laopt::Operand operand(std::shared_ptr<const cla::CompressedMatrix>(
-        std::shared_ptr<void>(), &compressed));
+    const laopt::Operand operand(laopt::Borrow(compressed));
     for (int t = 0; t < trials; ++t) {
       hand_ms = std::min(hand_ms,
                          HandCodedCompressedGlmMsPerEpoch(compressed, y, config));
 
       Stopwatch watch;
-      auto unified = cla::TrainCompressedGlm(compressed, y, config);
+      auto unified = ml::TrainGlmOnOperand(operand, y, config);
       if (!unified.ok()) std::exit(1);
       unified_ms = std::min(
           unified_ms, watch.ElapsedMillis() / static_cast<double>(unified->epochs_run));

@@ -14,8 +14,9 @@
 
 #include "bench/bench_util.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
+#include "factorized/factorized_operand.h"
 #include "factorized/normalized_matrix.h"
+#include "ml/unified_trainers.h"
 #include "relational/operators.h"
 #include "util/stopwatch.h"
 
@@ -122,7 +123,7 @@ int main(int argc, char** argv) {
       if (!x.ok() || !y.ok()) return 1;
       double prep_ms = w.ElapsedMillis();
       Stopwatch wt;
-      auto model = factorized::TrainDenseGlmMatrixForm(*x, *y, config);
+      auto model = ml::TrainGlmOnOperand(ml::BorrowOperand(*x), *y, config);
       if (!model.ok()) return 1;
       double train_ms = wt.ElapsedMillis();
       table.Row({"sql_join_export", Fmt(prep_ms, 1), Fmt(train_ms, 1),
@@ -138,7 +139,8 @@ int main(int argc, char** argv) {
       if (!nm.ok()) return 1;
       double prep_ms = w.ElapsedMillis();
       Stopwatch wt;
-      auto model = factorized::TrainFactorizedGlm(*nm, ds.y, config);
+      auto model = ml::TrainGlmOnOperand(
+          factorized::MakeFactorizedOperand(laopt::Borrow(*nm)), ds.y, config);
       if (!model.ok()) return 1;
       double train_ms = wt.ElapsedMillis();
       table.Row({"factorized", Fmt(prep_ms, 1), Fmt(train_ms, 1),

@@ -90,12 +90,16 @@ Result<DenseMatrix> NormalizedMatrix::Multiply(const DenseMatrix& m) const {
   }
 
   // Attribute blocks: compute XR_i * M_i once per distinct rid, then gather.
+  // The per-row loops are written out rather than calling la::Axpy: at the
+  // GLM's k = 1 a call per row costs more than the add it performs.
   for (const auto& tab : tables_) {
     const size_t dr = tab.features.cols();
     DenseMatrix mi = m.SliceRows(offset, offset + dr);
     DenseMatrix partial = la::Multiply(tab.features, mi);  // nR x k
     for (size_t i = 0; i < rows_; ++i) {
-      la::Axpy(1.0, partial.Row(tab.fk[i]), out.Row(i), k);
+      const double* src = partial.Row(tab.fk[i]);
+      double* dst = out.Row(i);
+      for (size_t c = 0; c < k; ++c) dst[c] += src[c];
     }
     offset += dr;
   }
@@ -114,7 +118,7 @@ Result<DenseMatrix> NormalizedMatrix::TransposeMultiply(const DenseMatrix& m) co
   RecordAvoidedFlops(*this, k);
   DenseMatrix out(cols_, k);
 
-  // Entity block: XSᵀ * M.
+  // Entity block: XSᵀ * M (loops written out, as in Multiply).
   size_t offset = 0;
   const size_t ds = entity_.cols();
   if (ds > 0) {
@@ -122,7 +126,8 @@ Result<DenseMatrix> NormalizedMatrix::TransposeMultiply(const DenseMatrix& m) co
       const double* xs = entity_.Row(i);
       const double* mrow = m.Row(i);
       for (size_t j = 0; j < ds; ++j) {
-        la::Axpy(xs[j], mrow, out.Row(j), k);
+        double* dst = out.Row(j);
+        for (size_t c = 0; c < k; ++c) dst[c] += xs[j] * mrow[c];
       }
     }
     offset = ds;
@@ -134,14 +139,17 @@ Result<DenseMatrix> NormalizedMatrix::TransposeMultiply(const DenseMatrix& m) co
     const size_t dr = tab.features.cols();
     DenseMatrix grouped(nr, k);
     for (size_t i = 0; i < rows_; ++i) {
-      la::Axpy(1.0, m.Row(i), grouped.Row(tab.fk[i]), k);
+      const double* src = m.Row(i);
+      double* dst = grouped.Row(tab.fk[i]);
+      for (size_t c = 0; c < k; ++c) dst[c] += src[c];
     }
     // XR_iᵀ (dr x nr) * grouped (nr x k) without forming the transpose.
     for (size_t r = 0; r < nr; ++r) {
       const double* xr = tab.features.Row(r);
       const double* g = grouped.Row(r);
       for (size_t j = 0; j < dr; ++j) {
-        la::Axpy(xr[j], g, out.Row(offset + j), k);
+        double* dst = out.Row(offset + j);
+        for (size_t c = 0; c < k; ++c) dst[c] += xr[j] * g[c];
       }
     }
     offset += dr;

@@ -345,6 +345,12 @@ void MultiplyInto(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* out,
     out->Fill(0.0);
     return;
   }
+  if (n == 1) {
+    // A single column is a gemv: one dot product per row streams A once,
+    // where the GEMM tiles would pack and compute 8-wide panels for it.
+    GemvInto(a, b, out, pool);
+    return;
+  }
   if (2 * m * n * kdim < kSmallGemmFlops) {
     NaiveGemmRows(a.data(), kdim, b.data(), n, out->data(), n, 0, m, kdim, n);
     return;
@@ -429,6 +435,14 @@ void TransposeMultiplyInto(const DenseMatrix& x, const DenseMatrix& m,
   DMML_CHECK_EQ(x.rows(), m.rows());
   DMML_CHECK(out != &x && out != &m);
   const size_t n = x.rows(), d = x.cols(), k = m.cols();
+  if (k == 1) {
+    // Xᵀ·v is the v-weighted sum of X's rows: the row-axpy reduction streams
+    // X contiguously and brackets each 4-row group exactly as the strided
+    // loop below does, so the result is the same.
+    GevmInto(m, x, out, pool);
+    out->Reshape(d, 1);
+    return;
+  }
   EnsureOut(out, d, k);
   out->Fill(0.0);
   ReduceRows(pool, n, GrainFor(2 * d * k), d * k, out->data(),

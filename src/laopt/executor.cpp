@@ -120,6 +120,24 @@ void AddAbsorbable(const ExprNode* n,
   }
 }
 
+// rowSums(G ⊙ G) for dense G: one la::Dot(row, row) per row, with no G ⊙ G
+// temporary. la::Dot is called out of line on purpose — the kernel engine
+// inlines it with a different floating-point contraction in places, and the
+// k-means distance expansion cancels a point against its own center exactly
+// only when these norms equal la::Dot bit for bit.
+void DenseRowSquaredNormsInto(const DenseMatrix& g, DenseMatrix* out,
+                              ThreadPool* pool) {
+  const size_t d = g.cols();
+  out->Reshape(g.rows(), 1);
+  const size_t grain = std::max<size_t>(1, (size_t{1} << 15) / (2 * d + 1));
+  ParallelForChunks(pool, g.rows(), grain,
+                    [&](size_t, size_t begin, size_t end) {
+                      for (size_t i = begin; i < end; ++i) {
+                        out->At(i, 0) = la::Dot(g.Row(i), g.Row(i), d);
+                      }
+                    });
+}
+
 std::unordered_set<const ExprNode*> AbsorbablePositions(
     const PlanSchedule& schedule) {
   std::unordered_set<const ExprNode*> absorbable;
@@ -1240,15 +1258,21 @@ Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
     }
     case OpKind::kRowSums: {
       const ExprPtr& ch = node->children()[0];
-      // Fused squared-norms pattern: rowSums(G ⊙ G) over a non-dense G maps
-      // to the representation's native row-squared-norms kernel — the k-means
-      // distance expansion never decompresses X.
+      // Fused squared-norms pattern: rowSums(G ⊙ G) maps to the
+      // representation's native row-squared-norms kernel — the k-means
+      // distance expansion never decompresses X, and a dense G needs no
+      // G ⊙ G temporary.
       if (ch->kind() == OpKind::kElemMul &&
           ch->children()[0].get() == ch->children()[1].get()) {
         DMML_ASSIGN_OR_RETURN(Value g, Eval(ch->children()[0]));
         if (g.windowed) {
           // Windowed G: the native row-squared-norms kernels read the full
           // payload; take the generic (densifying) path instead.
+        } else if (g.repr == Repr::kDense) {
+          if (profile_ != nullptr) profile_->AddFusedUse(ch.get());
+          DenseRowSquaredNormsInto(*g.d, slot.buf, pool_);
+          CountDispatch(slot, Repr::kDense);
+          break;
         } else if (g.repr == Repr::kCompressed) {
           if (profile_ != nullptr) profile_->AddFusedUse(ch.get());
           DMML_RETURN_IF_ERROR(g.c->RowSquaredNormsInto(slot.buf, pool_));
@@ -1267,8 +1291,6 @@ Result<BufferedExecutor::Value> BufferedExecutor::Eval(const ExprPtr& node) {
           CountDispatch(slot, Repr::kFactorized);
           break;
         }
-        // Dense G: the generic path below is already one fused pass short of
-        // optimal but keeps op accounting unchanged.
       }
       DMML_ASSIGN_OR_RETURN(Value a, Eval(ch));
       if (a.windowed) {

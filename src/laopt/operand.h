@@ -82,6 +82,16 @@ class LinearOperator {
 /// metric-name suffix and in EXPLAIN dumps.
 const char* ReprName(Repr repr);
 
+/// \brief Non-owning handle over a caller-held value: a shared_ptr with no
+/// control block that never deletes `x`. This is how an existing matrix
+/// (dense, CSR, compressed, normalized) or profile is bound to an Operand,
+/// a leaf or a registry without copying or transferring ownership; the
+/// caller must outlive every use of the handle.
+template <typename T>
+std::shared_ptr<const T> Borrow(const T& x) {
+  return std::shared_ptr<const T>(std::shared_ptr<void>(), &x);
+}
+
 /// \brief A bound leaf value in any representation, or unbound (placeholder).
 ///
 /// Implicitly constructible from a shared_ptr to any of the three matrix

@@ -183,7 +183,7 @@ class PlanProfile {
 /// under `name` until the returned registration leaves scope. The provider
 /// holds shared ownership, so a scrape racing the owner's teardown is safe.
 /// A caller that cannot grant shared ownership (it only borrows the profile)
-/// may pass a non-owning aliasing shared_ptr, provided the registration is
+/// may pass a non-owning laopt::Borrow handle, provided the registration is
 /// destroyed while the profile is still alive: unregistration blocks until
 /// in-flight scrapes of the provider return (ProfileRegistry::Unregister).
 obs::ScopedProfileRegistration RegisterProfile(

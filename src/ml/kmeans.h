@@ -33,12 +33,9 @@ struct KMeansModel {
   Result<std::vector<int>> Predict(const la::DenseMatrix& x) const;
 };
 
-/// \brief Runs Lloyd's algorithm on (n x d) data.
-///
-/// The assignment step runs through one X·Cᵀ matmul per iteration (blocked,
-/// parallel over the optional pool) with per-iteration buffers hoisted out of
-/// the loop. Empty clusters are re-seeded with the point farthest from its
-/// centroid.
+/// \brief Runs Lloyd's algorithm on dense (n x d) data: the dense binding of
+/// ml::TrainKMeansOnOperand (ml/unified_trainers.h), which documents the
+/// initialization, empty-cluster and final-assignment rules.
 Result<KMeansModel> TrainKMeans(const la::DenseMatrix& x, const KMeansConfig& config,
                                 ThreadPool* pool = nullptr);
 

@@ -1,9 +1,6 @@
 #include "ml/sparse_glm.h"
 
 #include <cmath>
-#include <limits>
-
-#include "la/kernels.h"
 
 namespace dmml::ml {
 
@@ -40,84 +37,6 @@ Result<double> GlmLossSparse(const SparseMatrix& x, const DenseMatrix& y,
     loss += 0.5 * l2 * w2;
   }
   return loss;
-}
-
-Result<GlmModel> TrainGlmSparse(const SparseMatrix& x, const DenseMatrix& y,
-                                const GlmConfig& config) {
-  const size_t n = x.rows(), d = x.cols();
-  if (n == 0 || d == 0) return Status::InvalidArgument("TrainGlmSparse: empty data");
-  if (y.rows() != n || y.cols() != 1) {
-    return Status::InvalidArgument("TrainGlmSparse: y must be n x 1");
-  }
-  if (config.learning_rate <= 0) {
-    return Status::InvalidArgument("learning_rate must be positive");
-  }
-  if (config.family == GlmFamily::kBinomial) {
-    for (size_t i = 0; i < n; ++i) {
-      double v = y.At(i, 0);
-      if (v != 0.0 && v != 1.0) {
-        return Status::InvalidArgument("Binomial family requires 0/1 labels");
-      }
-    }
-  }
-
-  GlmModel model;
-  model.family = config.family;
-  model.weights = DenseMatrix(d, 1);
-  DenseMatrix grad(d, 1);
-  const double inv_n = 1.0 / static_cast<double>(n);
-  double prev_loss = std::numeric_limits<double>::infinity();
-
-  for (size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
-    grad.Fill(0.0);
-    double bias_grad = 0;
-    double loss = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double score = model.intercept;
-      for (size_t k = x.RowBegin(i); k < x.RowEnd(i); ++k) {
-        score += x.values()[k] * model.weights.At(x.col_idx()[k], 0);
-      }
-      double yi = y.At(i, 0);
-      double g;
-      if (config.family == GlmFamily::kGaussian) {
-        g = score - yi;
-        loss += 0.5 * g * g;
-      } else {
-        double sign_y = yi > 0.5 ? 1.0 : -1.0;
-        double m = sign_y * score;
-        loss += m > 0 ? std::log1p(std::exp(-m)) : -m + std::log1p(std::exp(m));
-        g = GlmInverseLink(score, config.family) - yi;
-      }
-      // Gradient scatter touches only the row's nonzeros: O(nnz) total.
-      for (size_t k = x.RowBegin(i); k < x.RowEnd(i); ++k) {
-        grad.At(x.col_idx()[k], 0) += g * x.values()[k];
-      }
-      bias_grad += g;
-    }
-    loss *= inv_n;
-    if (config.l2 > 0) {
-      double w2 = 0;
-      for (size_t j = 0; j < d; ++j) w2 += model.weights.At(j, 0) * model.weights.At(j, 0);
-      loss += 0.5 * config.l2 * w2;
-    }
-
-    double lr =
-        config.learning_rate / (1.0 + config.lr_decay * static_cast<double>(epoch));
-    for (size_t j = 0; j < d; ++j) {
-      model.weights.At(j, 0) -=
-          lr * (grad.At(j, 0) * inv_n + config.l2 * model.weights.At(j, 0));
-    }
-    if (config.fit_intercept) model.intercept -= lr * bias_grad * inv_n;
-
-    model.loss_history.push_back(loss);
-    model.epochs_run = epoch + 1;
-    if (std::isfinite(prev_loss) &&
-        std::fabs(prev_loss - loss) <= config.tolerance * std::max(1.0, prev_loss)) {
-      break;
-    }
-    prev_loss = loss;
-  }
-  return model;
 }
 
 }  // namespace dmml::ml

@@ -1,10 +1,10 @@
 /// \file sparse_glm.h
-/// \brief GLM training over CSR design matrices.
+/// \brief GLM loss over CSR design matrices.
 ///
-/// Sparse feature matrices (one-hot encodings, text features) are the other
-/// half of ML-system workloads; batch-gradient training over CSR costs
-/// O(nnz) per epoch instead of O(n·d). Produces the same GlmModel as the
-/// dense trainer.
+/// Training on CSR data runs through the representation-polymorphic trainer:
+/// `ml::TrainGlmOnOperand(laopt::Operand(laopt::Borrow(x)), y, config)`
+/// dispatches every X·w and Xᵀ·r to the O(nnz) CSR kernels. This header
+/// keeps the row-wise sparse loss, an independent reference for it.
 #ifndef DMML_ML_SPARSE_GLM_H_
 #define DMML_ML_SPARSE_GLM_H_
 
@@ -13,11 +13,6 @@
 #include "util/result.h"
 
 namespace dmml::ml {
-
-/// \brief Trains a GLM on a CSR design matrix with batch gradient descent
-/// (solver field of `config` is ignored; BGD is the sparse path here).
-Result<GlmModel> TrainGlmSparse(const la::SparseMatrix& x, const la::DenseMatrix& y,
-                                const GlmConfig& config);
 
 /// \brief Mean family loss on sparse data (mirrors ml::GlmLoss).
 Result<double> GlmLossSparse(const la::SparseMatrix& x, const la::DenseMatrix& y,

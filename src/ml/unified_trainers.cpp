@@ -13,6 +13,7 @@
 #include "laopt/executor.h"
 #include "laopt/expr.h"
 #include "laopt/profile.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -20,19 +21,13 @@
 namespace dmml::ml {
 
 using la::DenseMatrix;
+using laopt::Borrow;
 using laopt::BufferedExecutor;
 using laopt::ExprNode;
 using laopt::ExprPtr;
 using laopt::Operand;
 
 namespace {
-
-// Non-owning Operand over a caller-held matrix (the trainer outlives every
-// executor run that reads it).
-Operand Borrow(const DenseMatrix& m) {
-  return Operand(
-      std::shared_ptr<const DenseMatrix>(std::shared_ptr<void>(), &m));
-}
 
 bool ExplainAnalyzeEnvEnabled() {
   const char* v = std::getenv("DMML_EXPLAIN_ANALYZE");  // NOLINT(concurrency-mt-unsafe)
@@ -63,9 +58,7 @@ class ScopedTrainerProfile {
       // registration_ member destructs before anything else here, and
       // before the trainer returns) blocks until in-flight scrapes of this
       // provider return — see ProfileRegistry::Unregister.
-      registration_ = laopt::RegisterProfile(
-          name_, std::shared_ptr<const laopt::PlanProfile>(
-                     std::shared_ptr<void>(), caller_profile_));
+      registration_ = laopt::RegisterProfile(name_, Borrow(*caller_profile_));
     }
   }
 
@@ -139,6 +132,7 @@ Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
   double prev_loss = std::numeric_limits<double>::infinity();
 
   for (size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
+    const uint64_t epoch_start_us = obs::NowMicros();
     DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores,
                           executor.Run(scores_expr));
     double loss = 0;
@@ -177,6 +171,8 @@ Result<GlmModel> TrainGlmOnOperand(const Operand& x, const DenseMatrix& y,
 
     model.loss_history.push_back(loss);
     model.epochs_run = epoch + 1;
+    DMML_HISTOGRAM_OBSERVE("ml.glm.epoch_us", obs::ExponentialBuckets(32, 4, 10),
+                           static_cast<double>(obs::NowMicros() - epoch_start_us));
     if (std::isfinite(prev_loss) &&
         std::fabs(prev_loss - loss) <=
             config.tolerance * std::max(1.0, prev_loss)) {
@@ -289,7 +285,10 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     return Status::InvalidArgument("k-means: unbound design operand");
   }
   const size_t n = x.rows(), d = x.cols(), k = config.k;
-  if (k == 0 || k > n) return Status::InvalidArgument("k must be in [1, n]");
+  if (n == 0 || d == 0) return Status::InvalidArgument("k-means: empty data");
+  if (k == 0 || k > n) {
+    return Status::InvalidArgument("k-means: k must be in [1, n]");
+  }
   DMML_TRACE_SPAN("ml.kmeans.train_operand");
 
   DMML_ASSIGN_OR_RETURN(ExprPtr xleaf, ExprNode::InputOperand(x, "X"));
@@ -298,26 +297,10 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
   BufferedExecutor executor(pool);
   executor.set_profile(prof.active());
 
-  // Initial centers: k sampled rows, extracted via a one-hot
-  // transpose-multiply so no representation needs decompressing.
-  KMeansModel model;
-  {
-    Rng rng(config.seed);
-    auto onehots = std::make_shared<DenseMatrix>(n, k);
-    for (size_t c = 0; c < k; ++c) {
-      onehots->At(rng.UniformInt(static_cast<uint64_t>(n)), c) = 1.0;
-    }
-    DMML_ASSIGN_OR_RETURN(ExprPtr oleaf,
-                          ExprNode::InputOperand(Operand(onehots), "onehots"));
-    DMML_ASSIGN_OR_RETURN(ExprPtr cols_expr, ExprNode::MatMul(xt, oleaf));
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* cols, executor.Run(cols_expr));
-    model.centers = la::Transpose(*cols);  // k x d.
-  }
-  model.labels.assign(n, 0);
-
   // rowSums(X ⊙ X): the executor fuses this into the representation's
-  // row-squared-norms kernel. Copied out, since the slot buffer is only
-  // stable until the next Run().
+  // row-squared-norms kernel (the dense one sums in la::Dot order, so a
+  // point that coincides with its center cancels to exactly 0). Copied out,
+  // since the slot buffer is only stable until the next Run().
   DenseMatrix row_norms;
   {
     DMML_ASSIGN_OR_RETURN(ExprPtr xx, ExprNode::ElemMul(xleaf, xleaf));
@@ -326,35 +309,97 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     row_norms = *norms;
   }
 
-  // Per-iteration programs over payloads mutated in place: the assignment's
-  // cross products X·Cᵀ and the update's Xᵀ·A.
-  auto centers = std::make_shared<DenseMatrix>();
+  // Programs over payloads mutated in place between runs:
+  //  * t(X)·e_i with e_i one-hot extracts row i exactly, so seeding and
+  //    re-seeding never decompress or materialize X;
+  //  * X·t(p) scores every row against one probe center (k-means++);
+  //  * X·t(C) and t(X)·A are the Lloyd assignment and update products.
+  auto onehot = std::make_shared<DenseMatrix>(n, 1);
+  auto probe = std::make_shared<DenseMatrix>(1, d);
+  auto centers = std::make_shared<DenseMatrix>(k, d);
   auto assign = std::make_shared<DenseMatrix>(n, k);
-  *centers = model.centers;
+  DMML_ASSIGN_OR_RETURN(ExprPtr eleaf,
+                        ExprNode::InputOperand(Operand(onehot), "e"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr pleaf,
+                        ExprNode::InputOperand(Operand(probe), "probe"));
   DMML_ASSIGN_OR_RETURN(ExprPtr cleaf,
                         ExprNode::InputOperand(Operand(centers), "centers"));
   DMML_ASSIGN_OR_RETURN(ExprPtr aleaf,
                         ExprNode::InputOperand(Operand(assign), "assign"));
+  DMML_ASSIGN_OR_RETURN(ExprPtr pt, ExprNode::Transpose(pleaf));
   DMML_ASSIGN_OR_RETURN(ExprPtr ct, ExprNode::Transpose(cleaf));
+  DMML_ASSIGN_OR_RETURN(ExprPtr row_expr, ExprNode::MatMul(xt, eleaf));
+  DMML_ASSIGN_OR_RETURN(ExprPtr probe_expr, ExprNode::MatMul(xleaf, pt));
   DMML_ASSIGN_OR_RETURN(ExprPtr cross_expr, ExprNode::MatMul(xleaf, ct));
   DMML_ASSIGN_OR_RETURN(ExprPtr sums_expr, ExprNode::MatMul(xt, aleaf));
 
-  std::vector<double> center_norms(k);
-  std::vector<size_t> counts(k);
-  double prev_inertia = std::numeric_limits<double>::infinity();
-  for (size_t iter = 0; iter < config.max_iters; ++iter) {
-    DMML_ASSIGN_OR_RETURN(const DenseMatrix* cross, executor.Run(cross_expr));
+  // Copies row i of X into `out` (d values).
+  auto extract_row = [&](size_t i, double* out) -> Status {
+    onehot->At(i, 0) = 1.0;
+    DMML_ASSIGN_OR_RETURN(const DenseMatrix* row, executor.Run(row_expr));
+    onehot->At(i, 0) = 0.0;
+    std::copy(row->data(), row->data() + d, out);
+    return Status::OK();
+  };
 
+  // Initial centers: uniform random rows, or k-means++ (first row uniform,
+  // then D²-weighted sampling against the nearest chosen center).
+  Rng rng(config.seed);
+  DMML_RETURN_IF_ERROR(extract_row(rng.UniformInt(static_cast<uint64_t>(n)),
+                                   centers->Row(0)));
+  std::vector<double> dist2(n, std::numeric_limits<double>::infinity());
+  for (size_t c = 1; c < k; ++c) {
+    if (!config.kmeanspp_init) {
+      DMML_RETURN_IF_ERROR(extract_row(
+          rng.UniformInt(static_cast<uint64_t>(n)), centers->Row(c)));
+      continue;
+    }
+    std::copy(centers->Row(c - 1), centers->Row(c - 1) + d, probe->data());
+    const double probe_norm = la::Dot(probe->data(), probe->data(), d);
+    DMML_ASSIGN_OR_RETURN(const DenseMatrix* scores, executor.Run(probe_expr));
+    double total = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const double dd = std::max(
+          0.0, row_norms.At(i, 0) - 2.0 * scores->At(i, 0) + probe_norm);
+      dist2[i] = std::min(dist2[i], dd);
+      total += dist2[i];
+    }
+    size_t chosen = 0;
+    if (total > 0) {
+      const double r = rng.Uniform() * total;
+      double acc = 0;
+      for (size_t i = 0; i < n; ++i) {
+        acc += dist2[i];
+        if (r < acc) {
+          chosen = i;
+          break;
+        }
+      }
+    } else {
+      chosen = rng.UniformInt(static_cast<uint64_t>(n));
+    }
+    DMML_RETURN_IF_ERROR(extract_row(chosen, centers->Row(c)));
+  }
+
+  KMeansModel model;
+  model.labels.assign(n, 0);
+  std::vector<double> center_norms(k);
+  std::vector<double> assigned_dist(n);  // Each row to its assigned center.
+  std::vector<size_t> counts(k);
+
+  // Assignment step via ‖x−c‖² = ‖x‖² − 2·x·c + ‖c‖² (clamped at 0: the
+  // expansion can round slightly below it). Returns the inertia.
+  auto assign_labels = [&]() -> Result<double> {
+    DMML_ASSIGN_OR_RETURN(const DenseMatrix* cross, executor.Run(cross_expr));
     for (size_t c = 0; c < k; ++c) {
       center_norms[c] = la::Dot(centers->Row(c), centers->Row(c), d);
     }
-
     double inertia = 0;
     for (size_t i = 0; i < n; ++i) {
       size_t best = 0;
       double best_d = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < k; ++c) {
-        double dist =
+        const double dist =
             row_norms.At(i, 0) - 2.0 * cross->At(i, c) + center_norms[c];
         if (dist < best_d) {
           best_d = dist;
@@ -362,8 +407,16 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
         }
       }
       model.labels[i] = static_cast<int>(best);
-      inertia += std::max(0.0, best_d);
+      assigned_dist[i] = std::max(0.0, best_d);
+      inertia += assigned_dist[i];
     }
+    return inertia;
+  };
+
+  double prev_inertia = std::numeric_limits<double>::infinity();
+  for (size_t iter = 0; iter < config.max_iters; ++iter) {
+    const uint64_t iter_start_us = obs::NowMicros();
+    DMML_ASSIGN_OR_RETURN(const double inertia, assign_labels());
 
     assign->Fill(0.0);
     std::fill(counts.begin(), counts.end(), 0);
@@ -373,16 +426,28 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     }
     DMML_ASSIGN_OR_RETURN(const DenseMatrix* sums, executor.Run(sums_expr));
     for (size_t c = 0; c < k; ++c) {
-      if (counts[c] == 0) continue;  // Keep the stale center.
-      double inv = 1.0 / static_cast<double>(counts[c]);
+      if (counts[c] == 0) continue;
+      const double inv = 1.0 / static_cast<double>(counts[c]);
       for (size_t j = 0; j < d; ++j) {
         centers->At(c, j) = sums->At(j, c) * inv;
       }
     }
+    // Re-seed each empty cluster at the row farthest from the center it was
+    // assigned to this iteration; a row re-seeds at most one cluster.
+    for (size_t c = 0; c < k; ++c) {
+      if (counts[c] != 0) continue;
+      const size_t far = static_cast<size_t>(
+          std::max_element(assigned_dist.begin(), assigned_dist.end()) -
+          assigned_dist.begin());
+      assigned_dist[far] = -1.0;
+      DMML_RETURN_IF_ERROR(extract_row(far, centers->Row(c)));
+    }
 
-    model.inertia = inertia;
     model.inertia_history.push_back(inertia);
     model.iters_run = iter + 1;
+    DMML_HISTOGRAM_OBSERVE("ml.kmeans.iter_us",
+                           obs::ExponentialBuckets(32, 4, 10),
+                           static_cast<double>(obs::NowMicros() - iter_start_us));
     if (std::isfinite(prev_inertia) &&
         std::fabs(prev_inertia - inertia) <=
             config.tolerance * std::max(1.0, prev_inertia)) {
@@ -390,6 +455,8 @@ Result<KMeansModel> TrainKMeansOnOperand(const Operand& x,
     }
     prev_inertia = inertia;
   }
+  // Final assignment, so labels and inertia describe the returned centers.
+  DMML_ASSIGN_OR_RETURN(model.inertia, assign_labels());
   model.centers = *centers;
   return model;
 }

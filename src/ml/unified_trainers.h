@@ -3,16 +3,18 @@
 /// once against a laopt::Operand and executed by the buffered executor's
 /// representation dispatch.
 ///
-/// These are the unified path the representation-specific front doors sit
-/// on: `ml::TrainGlm` (normal equations) routes its dense design matrix
-/// here, and `cla::TrainCompressedGlm` / `cla::TrainCompressedKMeans` are
-/// thin bindings that wrap a CompressedMatrix in an Operand and call these
-/// functions. The matrix products of every epoch — X·w, Xᵀ·g, X·Cᵀ, Xᵀ·A,
-/// XᵀX, rowSums(X ⊙ X) — run through one BufferedExecutor, which dispatches
-/// each to the dense, CSR, or compressed kernel matching the binding
+/// These are the only full-batch gradient-descent GLM loop and the only
+/// Lloyd k-means loop in the library. The dense front doors `ml::TrainGlm`
+/// (solver kBatchGd or kNormalEquations) and `ml::TrainKMeans` borrow their
+/// matrix into an Operand and call these functions; CSR, compressed and
+/// factorized (normalized-join) callers bind their matrix the same way —
+/// `Operand(laopt::Borrow(m))` or `factorized::MakeFactorizedOperand` — so
+/// the representation is chosen only by the Operand passed in. The matrix
+/// products of every epoch — X·w, Xᵀ·g, X·Cᵀ, Xᵀ·A, XᵀX, rowSums(X ⊙ X) —
+/// run through one BufferedExecutor, which dispatches each to the dense,
+/// CSR, compressed or factorized kernel matching the binding
 /// (laopt/executor.h). The scalar epoch bookkeeping (residuals, losses,
-/// argmin assignment, center/weight updates) is representation-independent
-/// and identical to the hand-written trainers it replaces.
+/// argmin assignment, center/weight updates) is representation-independent.
 #ifndef DMML_ML_UNIFIED_TRAINERS_H_
 #define DMML_ML_UNIFIED_TRAINERS_H_
 
@@ -29,10 +31,11 @@ class PlanProfile;
 
 namespace dmml::ml {
 
-/// \brief Non-owning Operand over a caller-held dense matrix — the standard
-/// way to run an existing `DenseMatrix` through the operand-based trainers
-/// (and the modelsel shared-scan engine) without copying or transferring
-/// ownership. The caller must outlive every executor run that reads it.
+/// \brief Non-owning Operand over a caller-held dense matrix
+/// (`laopt::Borrow`) — the standard way to run an existing `DenseMatrix`
+/// through the operand-based trainers (and the modelsel shared-scan engine)
+/// without copying or transferring ownership. The caller must outlive every
+/// executor run that reads it.
 laopt::Operand BorrowOperand(const la::DenseMatrix& m);
 
 /// \brief Full-batch gradient-descent GLM training on a design matrix in
@@ -68,10 +71,19 @@ Status RunNormalEquationsOnOperand(const laopt::Operand& x,
                                    GlmModel* model,
                                    laopt::PlanProfile* profile = nullptr);
 
-/// \brief Lloyd's k-means on a design matrix in any representation
-/// (uniform random-row init, expanded-distance assignment). Per-iteration
+/// \brief Lloyd's k-means on a design matrix in any representation, with
+/// expanded-distance assignment ‖x‖² − 2·x·c + ‖c‖².
+///
+/// Initial centers are k-means++ (`config.kmeanspp_init`, one X·cᵀ run per
+/// new center) or uniform random rows; every center row is extracted with
+/// an Xᵀ·e_i run, so no representation is decompressed or materialized. An
+/// empty cluster is re-seeded at the row farthest from the center it was
+/// assigned to in that iteration. A final assignment after the last update
+/// makes `labels` and `inertia` describe the returned centers. Per-iteration
 /// X·Cᵀ and Xᵀ·A products and the one-off rowSums(X ⊙ X) run on the
-/// binding's native kernels; the compressed binding never decompresses X.
+/// binding's native kernels; on a dense binding all three dot products of
+/// the expansion sum in la::Dot order, so a point that coincides with its
+/// center is at distance exactly 0.
 Result<KMeansModel> TrainKMeansOnOperand(const laopt::Operand& x,
                                          const KMeansConfig& config,
                                          ThreadPool* pool = nullptr,

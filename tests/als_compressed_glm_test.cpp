@@ -3,12 +3,12 @@
 
 #include <cmath>
 
-#include "cla/compressed_glm.h"
+#include "cla/compressed_matrix.h"
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
 #include "la/kernels.h"
 #include "ml/als.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml {
 namespace {
@@ -148,9 +148,9 @@ TEST(CompressedGlmTest, MatchesDenseMatrixFormTraining) {
   config.learning_rate = 1e-4;  // Low-card values are large; keep steps stable.
   config.max_epochs = 50;
   config.tolerance = 0;
-  auto compressed = cla::TrainCompressedGlm(cm, y, config);
+  auto compressed = ml::TrainGlmOnOperand(laopt::Borrow(cm), y, config);
   ASSERT_TRUE(compressed.ok());
-  auto dense = factorized::TrainDenseGlmMatrixForm(x, y, config);
+  auto dense = ml::TrainGlmOnOperand(ml::BorrowOperand(x), y, config);
   ASSERT_TRUE(dense.ok());
   EXPECT_TRUE(compressed->weights.ApproxEquals(dense->weights, 1e-8));
   EXPECT_NEAR(compressed->intercept, dense->intercept, 1e-8);
@@ -168,7 +168,7 @@ TEST(CompressedGlmTest, LogisticFamilyOnCompressedData) {
   config.family = ml::GlmFamily::kBinomial;
   config.learning_rate = 0.5;
   config.max_epochs = 200;
-  auto model = cla::TrainCompressedGlm(cm, ds.y, config);
+  auto model = ml::TrainGlmOnOperand(laopt::Borrow(cm), ds.y, config);
   ASSERT_TRUE(model.ok());
   auto labels = model->PredictLabels(x);
   ASSERT_TRUE(labels.ok());
@@ -178,12 +178,15 @@ TEST(CompressedGlmTest, LogisticFamilyOnCompressedData) {
 TEST(CompressedGlmTest, Validation) {
   auto cm = cla::CompressedMatrix::Compress(data::GaussianMatrix(10, 2, 8));
   ml::GlmConfig config;
-  EXPECT_FALSE(cla::TrainCompressedGlm(cm, DenseMatrix(5, 1), config).ok());
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(cm), DenseMatrix(5, 1), config).ok());
   config.learning_rate = 0;
-  EXPECT_FALSE(cla::TrainCompressedGlm(cm, DenseMatrix(10, 1), config).ok());
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(cm), DenseMatrix(10, 1), config).ok());
   config = ml::GlmConfig{};
   config.family = ml::GlmFamily::kBinomial;
-  EXPECT_FALSE(cla::TrainCompressedGlm(cm, DenseMatrix(10, 1, 0.3), config).ok());
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(cm), DenseMatrix(10, 1, 0.3), config).ok());
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 #include <limits>
 #include <map>
 
-#include "cla/compressed_kmeans.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "la/kernels.h"
 #include "ml/metrics.h"
+#include "ml/unified_trainers.h"
 
 namespace dmml::cla {
 namespace {
@@ -145,7 +145,7 @@ TEST(CompressedKMeansTest, RecoversBlobsThroughCompression) {
   config.k = 3;
   config.max_iters = 50;
   config.seed = 15;
-  auto model = TrainCompressedKMeans(cm, config);
+  auto model = ml::TrainKMeansOnOperand(laopt::Borrow(cm), config);
   ASSERT_TRUE(model.ok());
   // Clusters must be nearly pure.
   for (size_t c = 0; c < 3; ++c) {
@@ -171,7 +171,7 @@ TEST(CompressedKMeansTest, MatchesUncompressedDistanceSemantics) {
   config.k = 4;
   config.max_iters = 30;
   config.seed = 17;
-  auto model = TrainCompressedKMeans(cm, config);
+  auto model = ml::TrainKMeansOnOperand(laopt::Borrow(cm), config);
   ASSERT_TRUE(model.ok());
   // Labels must be argmin distances against the returned centers.
   for (size_t i = 0; i < m.rows(); ++i) {
@@ -192,7 +192,7 @@ TEST(CompressedKMeansTest, InertiaDecreases) {
   auto cm = CompressedMatrix::Compress(MixedData(400, 18));
   ml::KMeansConfig config;
   config.k = 3;
-  auto model = TrainCompressedKMeans(cm, config);
+  auto model = ml::TrainKMeansOnOperand(laopt::Borrow(cm), config);
   ASSERT_TRUE(model.ok());
   for (size_t i = 1; i < model->inertia_history.size(); ++i) {
     EXPECT_LE(model->inertia_history[i], model->inertia_history[i - 1] + 1e-6);
@@ -203,9 +203,9 @@ TEST(CompressedKMeansTest, InvalidK) {
   auto cm = CompressedMatrix::Compress(MixedData(50, 19));
   ml::KMeansConfig config;
   config.k = 0;
-  EXPECT_FALSE(TrainCompressedKMeans(cm, config).ok());
+  EXPECT_FALSE(ml::TrainKMeansOnOperand(laopt::Borrow(cm), config).ok());
   config.k = 51;
-  EXPECT_FALSE(TrainCompressedKMeans(cm, config).ok());
+  EXPECT_FALSE(ml::TrainKMeansOnOperand(laopt::Borrow(cm), config).ok());
 }
 
 }  // namespace

@@ -9,11 +9,10 @@
 #include <cstdlib>
 #include <vector>
 
-#include "cla/compressed_glm.h"
-#include "cla/compressed_kmeans.h"
 #include "cla/compressed_matrix.h"
 #include "data/generators.h"
 #include "la/kernels.h"
+#include "ml/unified_trainers.h"
 #include "obs/metrics.h"
 #include "util/thread_pool.h"
 
@@ -341,7 +340,7 @@ TEST(ClaIntoTest, CompressedGlmEpochsAllocationFree) {
   auto allocs_for = [&](size_t epochs) {
     config.max_epochs = epochs;
     uint64_t before = Counter("cla.inplace.allocs");
-    auto model = TrainCompressedGlm(cm, y, config);
+    auto model = ml::TrainGlmOnOperand(laopt::Borrow(cm), y, config);
     EXPECT_TRUE(model.ok());
     EXPECT_EQ(model->epochs_run, epochs);
     return Counter("cla.inplace.allocs") - before;
@@ -365,7 +364,7 @@ TEST(ClaIntoTest, CompressedKMeansItersAllocationFree) {
   auto allocs_for = [&](size_t iters) {
     config.max_iters = iters;
     uint64_t before = Counter("cla.inplace.allocs");
-    auto model = TrainCompressedKMeans(cm, config);
+    auto model = ml::TrainKMeansOnOperand(laopt::Borrow(cm), config);
     EXPECT_TRUE(model.ok());
     return Counter("cla.inplace.allocs") - before;
   };
@@ -392,8 +391,8 @@ TEST(ClaParallelTrainingTest, PooledGlmMatchesSerial) {
   config.tolerance = 0.0;
 
   ThreadPool pool(4);
-  auto serial = TrainCompressedGlm(cm, y, config);
-  auto pooled = TrainCompressedGlm(cm, y, config, &pool);
+  auto serial = ml::TrainGlmOnOperand(laopt::Borrow(cm), y, config);
+  auto pooled = ml::TrainGlmOnOperand(laopt::Borrow(cm), y, config, &pool);
   ASSERT_TRUE(serial.ok() && pooled.ok());
   ExpectMatricesNear(serial->weights, pooled->weights, 1e-9);
   ASSERT_EQ(serial->loss_history.size(), pooled->loss_history.size());
@@ -413,8 +412,8 @@ TEST(ClaParallelTrainingTest, PooledKMeansMatchesSerial) {
   config.seed = 94;
 
   ThreadPool pool(4);
-  auto serial = TrainCompressedKMeans(cm, config);
-  auto pooled = TrainCompressedKMeans(cm, config, &pool);
+  auto serial = ml::TrainKMeansOnOperand(laopt::Borrow(cm), config);
+  auto pooled = ml::TrainKMeansOnOperand(laopt::Borrow(cm), config, &pool);
   ASSERT_TRUE(serial.ok() && pooled.ok());
   EXPECT_EQ(serial->labels, pooled->labels);
   ExpectMatricesNear(serial->centers, pooled->centers, 1e-9);

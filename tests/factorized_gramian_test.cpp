@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
-#include "factorized/factorized_glm.h"
 #include "factorized/factorized_gramian.h"
 #include "la/kernels.h"
 #include "ml/glm.h"

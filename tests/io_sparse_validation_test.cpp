@@ -9,6 +9,7 @@
 #include "la/matrix_io.h"
 #include "ml/metrics.h"
 #include "ml/sparse_glm.h"
+#include "ml/unified_trainers.h"
 #include "ml/validation.h"
 
 namespace dmml {
@@ -116,7 +117,7 @@ TEST(SparseGlmTest, MatchesDenseTrainingExactly) {
   config.learning_rate = 0.5;
   config.max_epochs = 100;
   config.tolerance = 0;
-  auto sparse_model = ml::TrainGlmSparse(sparse, y, config);
+  auto sparse_model = ml::TrainGlmOnOperand(laopt::Borrow(sparse), y, config);
   ASSERT_TRUE(sparse_model.ok());
   config.solver = ml::GlmSolver::kBatchGd;
   auto dense_model = ml::TrainGlm(dense, y, config);
@@ -141,7 +142,7 @@ TEST(SparseGlmTest, LogisticOnSparseOneHot) {
   config.family = ml::GlmFamily::kBinomial;
   config.learning_rate = 1.0;
   config.max_epochs = 300;
-  auto model = ml::TrainGlmSparse(x, y, config);
+  auto model = ml::TrainGlmOnOperand(laopt::Borrow(x), y, config);
   ASSERT_TRUE(model.ok());
   // Predictions via the dense model interface on the densified matrix.
   auto labels = model->PredictLabels(x.ToDense());
@@ -164,14 +165,19 @@ TEST(SparseGlmTest, LossMatchesDenseLoss) {
 
 TEST(SparseGlmTest, Validation) {
   ml::GlmConfig config;
-  EXPECT_FALSE(ml::TrainGlmSparse(SparseMatrix(), DenseMatrix(0, 1), config).ok());
+  const SparseMatrix empty;
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(empty), DenseMatrix(0, 1), config).ok());
   auto x = data::SparseGaussianMatrix(10, 3, 0.5, 10);
-  EXPECT_FALSE(ml::TrainGlmSparse(x, DenseMatrix(5, 1), config).ok());
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(x), DenseMatrix(5, 1), config).ok());
   config.learning_rate = -1;
-  EXPECT_FALSE(ml::TrainGlmSparse(x, DenseMatrix(10, 1), config).ok());
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(x), DenseMatrix(10, 1), config).ok());
   config = ml::GlmConfig{};
   config.family = ml::GlmFamily::kBinomial;
-  EXPECT_FALSE(ml::TrainGlmSparse(x, DenseMatrix(10, 1, 0.7), config).ok());
+  EXPECT_FALSE(
+      ml::TrainGlmOnOperand(laopt::Borrow(x), DenseMatrix(10, 1, 0.7), config).ok());
 }
 
 // --------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 
 #include "data/generators.h"
 #include "la/kernels.h"
@@ -12,6 +13,7 @@
 #include "ml/metrics.h"
 #include "ml/naive_bayes.h"
 #include "ml/scaler.h"
+#include "util/rng.h"
 
 namespace dmml::ml {
 namespace {
@@ -190,15 +192,55 @@ TEST(KMeansTest, PredictAssignsNearestCenter) {
 }
 
 TEST(KMeansTest, KEqualsNPutsEachPointAlone) {
-  auto x = data::GaussianMatrix(5, 2, 6);
+  // The exact-zero inertia relies on ‖x‖², x·c and ‖c‖² all rounding the
+  // same way; odd widths and more rows catch a row-norm kernel that sums
+  // differently from la::Dot.
+  for (size_t n : {5, 64}) {
+    for (size_t d : {2, 3, 7}) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", d = " + std::to_string(d));
+      auto x = data::GaussianMatrix(n, d, 6);
+      KMeansConfig config;
+      config.k = n;
+      config.max_iters = 50;
+      auto model = TrainKMeans(x, config);
+      ASSERT_TRUE(model.ok());
+      std::set<int> labels(model->labels.begin(), model->labels.end());
+      EXPECT_EQ(labels.size(), n);
+      EXPECT_NEAR(model->inertia, 0.0, 1e-18);
+    }
+  }
+}
+
+TEST(KMeansTest, EmptyClusterReseededAtFarthestRowFromItsCenter) {
+  // Three copies of the origin, one near it, and a far group on the x axis.
+  DenseMatrix x{{0, 0}, {0, 0}, {0, 0}, {1, 0}, {10, 0}, {11, 0}, {14, 0}};
+  const size_t n = x.rows();
+  // Uniform init draws k row indices from Rng(seed) in order. Find a seed
+  // whose draws are (origin, origin, 10 or 11): center 1 duplicates center 0,
+  // so every tie goes to cluster 0 and cluster 1 ends the first assignment
+  // empty while cluster 2 still has members.
+  uint64_t seed = 0;
+  for (;; ++seed) {
+    ASSERT_LT(seed, 100000u) << "no seed yields the duplicate-center draw";
+    Rng rng(seed);
+    const uint64_t a = rng.UniformInt(uint64_t{n});
+    const uint64_t b = rng.UniformInt(uint64_t{n});
+    const uint64_t c = rng.UniformInt(uint64_t{n});
+    if (a < 3 && b < 3 && (c == 4 || c == 5)) break;
+  }
   KMeansConfig config;
-  config.k = 5;
-  config.max_iters = 50;
+  config.k = 3;
+  config.kmeanspp_init = false;
+  config.max_iters = 1;
+  config.seed = seed;
   auto model = TrainKMeans(x, config);
   ASSERT_TRUE(model.ok());
-  std::set<int> labels(model->labels.begin(), model->labels.end());
-  EXPECT_EQ(labels.size(), 5u);
-  EXPECT_NEAR(model->inertia, 0.0, 1e-18);
+  // Against the centers of that assignment — (0,0) for rows 0-3 and row 4
+  // or 5 for rows 4-6 — the farthest row is (14, 0). Measured against the
+  // raw coordinate sum of cluster 2 (35, 0) instead, it would be (10, 0).
+  EXPECT_EQ(model->centers.At(1, 0), 14.0);
+  EXPECT_EQ(model->centers.At(1, 1), 0.0);
+  EXPECT_EQ(model->centers.At(0, 0), 0.25);  // Mean of rows 0-3.
 }
 
 TEST(KMeansTest, InvalidArguments) {

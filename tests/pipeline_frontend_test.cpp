@@ -244,28 +244,44 @@ TEST(PipelineParityTest, NormalEquationsBothRoutes) {
 
 TEST(PipelineParityTest, KMeansBothRoutes) {
   storage::Catalog catalog = StarCatalog(300, 12, 2, 4);
-  ml::KMeansConfig config;
-  config.k = 4;
-  config.max_iters = 15;
+  auto fit = [&](Route route, bool kmeanspp, size_t max_iters) {
+    ml::KMeansConfig config;
+    config.k = 4;
+    config.max_iters = max_iters;
+    config.kmeanspp_init = kmeanspp;
+    return StarPipeline(&catalog, 2, 4, route).TrainKMeans(config);
+  };
 
-  auto mat = StarPipeline(&catalog, 2, 4, Route::kMaterialize)
-                 .TrainKMeans(config);
-  ASSERT_TRUE(mat.ok()) << mat.status().ToString();
-  auto fact = StarPipeline(&catalog, 2, 4, Route::kFactorized)
-                  .TrainKMeans(config);
-  ASSERT_TRUE(fact.ok()) << fact.status().ToString();
-
-  ASSERT_EQ(mat->model.centers.rows(), fact->model.centers.rows());
-  ASSERT_EQ(mat->model.centers.cols(), fact->model.centers.cols());
-  for (size_t c = 0; c < mat->model.centers.rows(); ++c) {
-    for (size_t j = 0; j < mat->model.centers.cols(); ++j) {
-      EXPECT_NEAR(mat->model.centers.At(c, j), fact->model.centers.At(c, j),
-                  1e-9);
-    }
+  // max_iters = 0 returns the initial centers: k-means++ and uniform seeding
+  // must actually differ on both routes.
+  for (Route route : {Route::kMaterialize, Route::kFactorized}) {
+    auto pp = fit(route, true, 0);
+    auto uniform = fit(route, false, 0);
+    ASSERT_TRUE(pp.ok()) << pp.status().ToString();
+    ASSERT_TRUE(uniform.ok()) << uniform.status().ToString();
+    EXPECT_FALSE(pp->model.centers.ApproxEquals(uniform->model.centers, 1e-9))
+        << RouteName(route);
   }
-  EXPECT_EQ(mat->model.labels, fact->model.labels);
-  EXPECT_NEAR(mat->model.inertia, fact->model.inertia,
-              1e-9 * std::max(1.0, mat->model.inertia));
+
+  for (bool kmeanspp : {true, false}) {
+    SCOPED_TRACE(kmeanspp ? "kmeans++ init" : "uniform init");
+    auto mat = fit(Route::kMaterialize, kmeanspp, 15);
+    ASSERT_TRUE(mat.ok()) << mat.status().ToString();
+    auto fact = fit(Route::kFactorized, kmeanspp, 15);
+    ASSERT_TRUE(fact.ok()) << fact.status().ToString();
+
+    ASSERT_EQ(mat->model.centers.rows(), fact->model.centers.rows());
+    ASSERT_EQ(mat->model.centers.cols(), fact->model.centers.cols());
+    for (size_t c = 0; c < mat->model.centers.rows(); ++c) {
+      for (size_t j = 0; j < mat->model.centers.cols(); ++j) {
+        EXPECT_NEAR(mat->model.centers.At(c, j), fact->model.centers.At(c, j),
+                    1e-9);
+      }
+    }
+    EXPECT_EQ(mat->model.labels, fact->model.labels);
+    EXPECT_NEAR(mat->model.inertia, fact->model.inertia,
+                1e-9 * std::max(1.0, mat->model.inertia));
+  }
 }
 
 // ---------------------------------------------------------------------------
