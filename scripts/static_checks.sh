@@ -6,7 +6,9 @@
 #     translation unit in src/, failing on any warning, so new findings
 #     cannot land silently. Skipped, with "clang-tidy: SKIPPED" and a
 #     distinct exit code, when clang-tidy is not installed.
-#  2. A Release-build smoke: bench/bench_kernels --smoke runs the
+#  2. A Release-build smoke, configured with -DDMML_WERROR=ON so the
+#     documented warnings-as-errors build keeps compiling:
+#     bench/bench_kernels --smoke runs the
 #     blocked-vs-reference parity suite plus a ~3 second throughput pass, and
 #     bench/bench_cla --smoke checks compressed-vs-dense and pooled-vs-serial
 #     parity; both exit nonzero on any NaN or parity mismatch — catching
@@ -32,7 +34,9 @@
 #     plans), each twice: default scheduling and DMML_INTER_NODE=1.
 #     pipeline_frontend_test (table -> join -> train through both physical
 #     routes) also runs under both sanitizers, plain and with
-#     DMML_VERIFY=1 DMML_INTER_NODE=1.
+#     DMML_VERIFY=1 DMML_INTER_NODE=1, and so does
+#     relational_columnar_test (the column-at-a-time Filter/Project/HashJoin
+#     and statistics collector against row-at-a-time references).
 #  4. A plan-verifier gate: every laopt test binary plus the laopt benches
 #     re-run in the Release build with DMML_VERIFY=1 DMML_LINT=1, so the
 #     structural verifier checks every optimizer pass output at -O2 (Release
@@ -107,8 +111,9 @@ fi
 # Release smoke: parity + NaN scan at full optimization.
 # ---------------------------------------------------------------------------
 smoke_dir="$repo_root/build-smoke"
-echo "static_checks: building smoke benches (Release) in $smoke_dir..."
-if cmake -B "$smoke_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release >/dev/null \
+echo "static_checks: building smoke benches (Release, -Werror) in $smoke_dir..."
+if cmake -B "$smoke_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+       -DDMML_WERROR=ON >/dev/null \
     && cmake --build "$smoke_dir" --target bench_kernels --target bench_cla \
          --target bench_laopt --target bench_ablations --target bench_modelsel \
          --target bench_pipeline -j "$jobs" >/dev/null; then
@@ -258,12 +263,13 @@ fi
 # ---------------------------------------------------------------------------
 run_sanitized_repr_gate() {
   local san="$1" dir="$2"
-  echo "static_checks: building laopt_repr_test + unified_trainers_diff_test + laopt_verify_test + laopt_sched_test + modelsel_shared_test + pipeline_frontend_test (DMML_SANITIZE=$san) in $dir..."
+  echo "static_checks: building laopt_repr_test + unified_trainers_diff_test + laopt_verify_test + laopt_sched_test + modelsel_shared_test + pipeline_frontend_test + relational_columnar_test (DMML_SANITIZE=$san) in $dir..."
   if cmake -B "$dir" -S "$repo_root" -DDMML_SANITIZE="$san" >/dev/null \
       && cmake --build "$dir" --target laopt_repr_test \
            --target unified_trainers_diff_test --target laopt_verify_test \
            --target laopt_sched_test --target modelsel_shared_test \
-           --target pipeline_frontend_test -j "$jobs" >/dev/null; then
+           --target pipeline_frontend_test --target relational_columnar_test \
+           -j "$jobs" >/dev/null; then
     if "$dir/tests/laopt_repr_test" >/dev/null; then
       echo "static_checks: repr parity clean under $san"
     else
@@ -313,6 +319,14 @@ run_sanitized_repr_gate() {
       echo "static_checks: pipeline front-end clean under $san"
     else
       echo "static_checks: FAILED — pipeline_frontend_test under $san" >&2
+      status=1
+    fi
+    # Column-at-a-time operators and statistics against row-at-a-time
+    # references (NULL/NaN cells, duplicate keys, left-outer padding).
+    if "$dir/tests/relational_columnar_test" >/dev/null; then
+      echo "static_checks: columnar relational differential clean under $san"
+    else
+      echo "static_checks: FAILED — relational_columnar_test under $san" >&2
       status=1
     fi
   else

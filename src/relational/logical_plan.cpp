@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -76,16 +77,21 @@ std::string LogicalNode::Describe() const {
   return "?";
 }
 
-Result<std::shared_ptr<const TableStatistics>> StatisticsCache::Get(
-    const std::string& table) {
-  auto it = cache_.find(table);
-  if (it != cache_.end()) return it->second;
+Result<const TableStatistics*> StatisticsCache::Get(
+    const std::string& table, const std::vector<std::string>& columns) {
   DMML_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t,
                         catalog_->GetTable(table));
-  DMML_ASSIGN_OR_RETURN(TableStatistics stats, CollectStatistics(*t));
-  auto shared = std::make_shared<const TableStatistics>(std::move(stats));
-  cache_.emplace(table, shared);
-  return shared;
+  TableStatistics& stats = cache_[table];
+  stats.num_rows = t->num_rows();
+  for (const std::string& name : columns) {
+    if (stats.Find(name) != nullptr) continue;
+    const std::optional<size_t> idx = t->schema().FieldIndex(name);
+    if (!idx.has_value()) continue;
+    DMML_ASSIGN_OR_RETURN(ColumnStatistics cs,
+                          CollectColumnStatistics(t->column(*idx), name));
+    stats.columns.push_back(std::move(cs));
+  }
+  return &stats;
 }
 
 namespace {
@@ -149,26 +155,40 @@ Result<Schema> OutputSchema(const LogicalNode& plan,
 
 namespace {
 
-// Cardinality estimate plus the statistics of the nearest base table under
-// the node (carried through filters/projects; lost above joins), used for
+// Cardinality estimate plus the nearest base table under the node (carried
+// through filters/projects; lost above joins), whose column statistics serve
 // filter selectivity and join-key ndv lookups.
 struct CardInfo {
   double rows = 0;
-  std::shared_ptr<const TableStatistics> base;
+  const std::string* base = nullptr;  ///< Catalog name, owned by the Scan node.
 };
+
+// ndv of `column` on the base table, or 0 when unknown.
+Result<double> KeyNdv(const CardInfo& side, const std::string& column,
+                      StatisticsCache* stats) {
+  if (side.base == nullptr) return 0.0;
+  DMML_ASSIGN_OR_RETURN(const TableStatistics* s,
+                        stats->Get(*side.base, {column}));
+  const ColumnStatistics* c = s->Find(column);
+  return c != nullptr ? static_cast<double>(c->distinct_count) : 0.0;
+}
 
 Result<CardInfo> EstimateNode(const LogicalNode& n, StatisticsCache* stats) {
   switch (n.op()) {
     case LogicalOp::kScan: {
-      DMML_ASSIGN_OR_RETURN(std::shared_ptr<const TableStatistics> s,
-                            stats->Get(n.table()));
-      return CardInfo{static_cast<double>(s->num_rows), s};
+      DMML_ASSIGN_OR_RETURN(const TableStatistics* s, stats->Get(n.table(), {}));
+      return CardInfo{static_cast<double>(s->num_rows), &n.table()};
     }
     case LogicalOp::kFilter: {
       DMML_ASSIGN_OR_RETURN(CardInfo c, EstimateNode(*n.input(0), stats));
-      const double sel = c.base != nullptr
-                             ? n.predicate()->EstimateSelectivity(*c.base)
-                             : kDefaultSelectivity;
+      double sel = kDefaultSelectivity;
+      if (c.base != nullptr) {
+        std::vector<std::string> columns;
+        n.predicate()->ReferencedColumns(&columns);
+        DMML_ASSIGN_OR_RETURN(const TableStatistics* s,
+                              stats->Get(*c.base, columns));
+        sel = n.predicate()->EstimateSelectivity(*s);
+      }
       c.rows *= sel;
       return c;
     }
@@ -177,17 +197,9 @@ Result<CardInfo> EstimateNode(const LogicalNode& n, StatisticsCache* stats) {
     case LogicalOp::kJoin: {
       DMML_ASSIGN_OR_RETURN(CardInfo l, EstimateNode(*n.input(0), stats));
       DMML_ASSIGN_OR_RETURN(CardInfo r, EstimateNode(*n.input(1), stats));
-      double ndv = 0;
-      if (l.base != nullptr) {
-        if (const ColumnStatistics* c = l.base->Find(n.left_key())) {
-          ndv = std::max(ndv, static_cast<double>(c->distinct_count));
-        }
-      }
-      if (r.base != nullptr) {
-        if (const ColumnStatistics* c = r.base->Find(n.right_key())) {
-          ndv = std::max(ndv, static_cast<double>(c->distinct_count));
-        }
-      }
+      DMML_ASSIGN_OR_RETURN(double lndv, KeyNdv(l, n.left_key(), stats));
+      DMML_ASSIGN_OR_RETURN(double rndv, KeyNdv(r, n.right_key(), stats));
+      double ndv = std::max(lndv, rndv);
       // No key statistics (key produced by a join): assume the key is unique
       // on the larger side, the PK-FK default.
       if (ndv <= 0) ndv = std::max(l.rows, r.rows);
@@ -235,54 +247,62 @@ void RecordObservation(const LogicalNode& node, double estimated, size_t actual,
   if (observations != nullptr) observations->push_back(std::move(obs));
 }
 
-Result<Table> ExecuteNode(const LogicalNode& plan,
-                          const storage::Catalog& catalog,
-                          StatisticsCache* stats,
-                          std::vector<OperatorObservation>* observations) {
+// One executed operator's output: a Scan lends the catalog's table (never
+// copied); every other operator owns the table it built.
+struct NodeOutput {
+  std::shared_ptr<const Table> scanned;
+  std::optional<Table> owned;
+
+  const Table& table() const { return owned.has_value() ? *owned : *scanned; }
+};
+
+Result<NodeOutput> ExecuteNode(const LogicalNode& plan,
+                               const storage::Catalog& catalog,
+                               StatisticsCache* stats,
+                               std::vector<OperatorObservation>* observations) {
+  NodeOutput out;
+  Result<Table> built = Status::Internal("unreachable logical op");
+  double estimated = 0.0;
   switch (plan.op()) {
     case LogicalOp::kScan: {
       Result<std::shared_ptr<const Table>> t = catalog.GetTable(plan.table());
       if (!t.ok()) return StageError(plan, t.status());
-      Table out = *t.ValueOrDie();
-      RecordObservation(plan, static_cast<double>(out.num_rows()),
-                        out.num_rows(), observations);
+      out.scanned = std::move(t).ValueOrDie();
+      const size_t rows = out.scanned->num_rows();
+      RecordObservation(plan, static_cast<double>(rows), rows, observations);
       return out;
     }
     case LogicalOp::kFilter: {
       DMML_ASSIGN_OR_RETURN(
-          Table in, ExecuteNode(*plan.input(0), catalog, stats, observations));
+          NodeOutput in, ExecuteNode(*plan.input(0), catalog, stats, observations));
       Result<CardInfo> est = EstimateNode(plan, stats);
-      Result<Table> out = relational::Filter(in, plan.predicate());
-      if (!out.ok()) return StageError(plan, out.status());
-      RecordObservation(plan, est.ok() ? est.ValueOrDie().rows : 0.0,
-                        out.ValueOrDie().num_rows(), observations);
-      return out;
+      estimated = est.ok() ? est.ValueOrDie().rows : 0.0;
+      built = relational::Filter(in.table(), plan.predicate());
+      break;
     }
     case LogicalOp::kProject: {
       DMML_ASSIGN_OR_RETURN(
-          Table in, ExecuteNode(*plan.input(0), catalog, stats, observations));
-      Result<Table> out = relational::Project(in, plan.columns());
-      if (!out.ok()) return StageError(plan, out.status());
-      RecordObservation(plan, static_cast<double>(in.num_rows()),
-                        out.ValueOrDie().num_rows(), observations);
-      return out;
+          NodeOutput in, ExecuteNode(*plan.input(0), catalog, stats, observations));
+      estimated = static_cast<double>(in.table().num_rows());
+      built = relational::Project(in.table(), plan.columns());
+      break;
     }
     case LogicalOp::kJoin: {
       DMML_ASSIGN_OR_RETURN(
-          Table l, ExecuteNode(*plan.input(0), catalog, stats, observations));
+          NodeOutput l, ExecuteNode(*plan.input(0), catalog, stats, observations));
       DMML_ASSIGN_OR_RETURN(
-          Table r, ExecuteNode(*plan.input(1), catalog, stats, observations));
+          NodeOutput r, ExecuteNode(*plan.input(1), catalog, stats, observations));
       Result<CardInfo> est = EstimateNode(plan, stats);
-      Result<Table> out =
-          relational::HashJoin(l, r, plan.left_key(), plan.right_key(),
-                               plan.join_options());
-      if (!out.ok()) return StageError(plan, out.status());
-      RecordObservation(plan, est.ok() ? est.ValueOrDie().rows : 0.0,
-                        out.ValueOrDie().num_rows(), observations);
-      return out;
+      estimated = est.ok() ? est.ValueOrDie().rows : 0.0;
+      built = relational::HashJoin(l.table(), r.table(), plan.left_key(),
+                                   plan.right_key(), plan.join_options());
+      break;
     }
   }
-  return Status::Internal("unreachable logical op");
+  if (!built.ok()) return StageError(plan, built.status());
+  out.owned = std::move(built).ValueOrDie();
+  RecordObservation(plan, estimated, out.owned->num_rows(), observations);
+  return out;
 }
 
 }  // namespace
@@ -294,8 +314,12 @@ Result<Table> ExecutePlan(const LogicalNode& plan,
   // Fail with a stage-named error before running anything.
   DMML_RETURN_IF_ERROR(OutputSchema(plan, catalog).status());
   StatisticsCache local(&catalog);
-  return ExecuteNode(plan, catalog, stats != nullptr ? stats : &local,
-                     observations);
+  DMML_ASSIGN_OR_RETURN(NodeOutput out,
+                        ExecuteNode(plan, catalog,
+                                    stats != nullptr ? stats : &local,
+                                    observations));
+  if (out.owned.has_value()) return std::move(*out.owned);
+  return *out.scanned;  // A bare Scan: the caller gets its own copy.
 }
 
 }  // namespace dmml::relational

@@ -85,20 +85,27 @@ class LogicalNode {
   JoinOptions join_options_;
 };
 
-/// \brief Memoizes CollectStatistics per base table for one planning episode.
-/// Collection is a full scan per column, so the chooser and the executor share
-/// one cache instead of re-scanning per estimate.
+/// \brief Memoizes column statistics for one planning episode, per (table,
+/// column). Estimators ask only for what they read — a Filter's predicate
+/// leaf columns and a Join's keys on the base table under each side — so a
+/// fit collects a handful of columns, not every column of every table, and
+/// the chooser and the executor share the collections instead of re-scanning
+/// per estimate.
 class StatisticsCache {
  public:
   explicit StatisticsCache(const storage::Catalog* catalog)
       : catalog_(catalog) {}
 
-  /// \brief Stats for the named catalog table (collected on first use).
-  Result<std::shared_ptr<const TableStatistics>> Get(const std::string& table);
+  /// \brief Statistics of the named catalog table holding (at least) the
+  /// named columns; each (table, column) is collected on first use. Names
+  /// the table lacks are skipped; num_rows is always set. The pointer stays
+  /// valid for the cache's lifetime.
+  Result<const TableStatistics*> Get(const std::string& table,
+                                     const std::vector<std::string>& columns);
 
  private:
   const storage::Catalog* catalog_;
-  std::map<std::string, std::shared_ptr<const TableStatistics>> cache_;
+  std::map<std::string, TableStatistics> cache_;
 };
 
 /// \brief Bottom-up schema check: verifies every referenced table, column and
@@ -108,8 +115,9 @@ Result<storage::Schema> OutputSchema(const LogicalNode& plan,
                                      const storage::Catalog& catalog);
 
 /// \brief Pre-execution cardinality estimate for the plan's output:
-///   * Scan: exact row count
-///   * Filter: input estimate x Predicate::EstimateSelectivity
+///   * Scan: exact row count (no column statistics)
+///   * Filter: input estimate x Predicate::EstimateSelectivity over the
+///     statistics of the predicate's leaf columns
 ///   * Project: input estimate
 ///   * Join: |L| * |R| / max(ndv(L.key), ndv(R.key)), ndv from the nearest
 ///     base table under each side; falls back to / max(|L|, |R|) when a key's
@@ -128,6 +136,9 @@ struct OperatorObservation {
 };
 
 /// \brief Executes the plan bottom-up with the eager operators.
+///
+/// Scans read the catalog's table in place; only a plan that is a bare Scan
+/// copies it, to hand back its result by value.
 ///
 /// Every Filter and Join records its pre-execution estimate against the rows
 /// it actually emitted: appended to `observations` (if given) and exported as

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,74 +22,154 @@ using storage::Schema;
 using storage::Table;
 using storage::Value;
 
+namespace {
+
+// `input`'s rows at `rows`, in that order: one typed gather per column.
+Result<Table> GatherRows(const Table& input, const std::vector<size_t>& rows) {
+  std::vector<Column> columns;
+  columns.reserve(input.num_columns());
+  for (size_t c = 0; c < input.num_columns(); ++c) {
+    columns.push_back(input.column(c).Gather(rows));
+  }
+  return Table::FromColumns(input.schema(), std::move(columns), rows.size());
+}
+
+}  // namespace
+
 Result<Table> Filter(const Table& input, const PredicatePtr& pred) {
   DMML_RETURN_IF_ERROR(pred->Validate(input.schema()));
-  Table out(input.schema());
-  for (size_t i = 0; i < input.num_rows(); ++i) {
-    DMML_ASSIGN_OR_RETURN(bool keep, pred->Evaluate(input, i));
-    if (keep) DMML_RETURN_IF_ERROR(out.AppendRow(input.GetRow(i)));
+  std::vector<uint8_t> keep;
+  DMML_RETURN_IF_ERROR(pred->Evaluate(input, &keep));
+  std::vector<size_t> rows;
+  rows.reserve(input.num_rows());
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i] != 0) rows.push_back(i);
   }
-  return out;
+  return GatherRows(input, rows);
 }
 
 Result<Table> Project(const Table& input, const std::vector<std::string>& columns) {
-  std::vector<size_t> indices;
   std::vector<Field> fields;
+  std::vector<Column> out;
   for (const auto& name : columns) {
     DMML_ASSIGN_OR_RETURN(size_t idx, input.schema().RequireField(name));
-    indices.push_back(idx);
     fields.push_back(input.schema().field(idx));
+    out.push_back(input.column(idx));
   }
   DMML_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  Table out(schema);
-  std::vector<Value> row(indices.size());
-  for (size_t i = 0; i < input.num_rows(); ++i) {
-    for (size_t j = 0; j < indices.size(); ++j) {
-      row[j] = input.column(indices[j]).GetValue(i);
-    }
-    DMML_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
+  return Table::FromColumns(std::move(schema), std::move(out), input.num_rows());
 }
 
 namespace {
 
-// A join key: either int64 or string. NULL keys are skipped by callers.
-struct JoinKey {
-  bool is_string = false;
-  int64_t ival = 0;
-  std::string sval;
-
-  bool operator==(const JoinKey& other) const {
-    if (is_string != other.is_string) return false;
-    return is_string ? sval == other.sval : ival == other.ival;
-  }
+// Typed key readers for the two join-key types.
+struct Int64Key {
+  using Type = int64_t;
+  static int64_t At(const Column& c, size_t i) { return c.GetInt64(i); }
+};
+struct StringKey {
+  using Type = std::string_view;
+  static std::string_view At(const Column& c, size_t i) { return c.GetString(i); }
 };
 
-struct JoinKeyHash {
-  size_t operator()(const JoinKey& k) const {
-    return k.is_string ? std::hash<std::string>()(k.sval)
-                       : std::hash<int64_t>()(static_cast<int64_t>(k.ival));
+// The build side of a hash join. Each distinct non-NULL key maps to a group;
+// the group's rows sit in ascending order in one flat array, so probing
+// yields the nested-loop output order.
+template <typename K>
+class BuildSide {
+ public:
+  explicit BuildSide(const Column& col) {
+    constexpr uint32_t kNoGroup = UINT32_MAX;
+    group_of_.reserve(col.size());
+    std::vector<uint32_t> row_group(col.size(), kNoGroup);
+    for (size_t r = 0; r < col.size(); ++r) {
+      if (!col.IsValid(r)) continue;
+      auto [it, inserted] = group_of_.try_emplace(
+          K::At(col, r), static_cast<uint32_t>(start_.size()));
+      if (inserted) start_.push_back(0);
+      row_group[r] = it->second;
+      ++start_[it->second];
+    }
+    // Group sizes -> exclusive prefix sums, then a stable fill by row.
+    size_t total = 0;
+    for (size_t& g : start_) total += std::exchange(g, total);
+    start_.push_back(total);
+    rows_.resize(total);
+    std::vector<size_t> fill(start_.begin(), start_.end() - 1);
+    for (size_t r = 0; r < col.size(); ++r) {
+      if (row_group[r] != kNoGroup) rows_[fill[row_group[r]]++] = r;
+    }
   }
+
+  /// Appends (row, match) to `left`/`right` for every build row whose key is
+  /// `key`; returns whether there was one.
+  bool Probe(typename K::Type key, size_t row, std::vector<size_t>* left,
+             std::vector<size_t>* right) const {
+    auto it = group_of_.find(key);
+    if (it == group_of_.end()) return false;
+    for (size_t k = start_[it->second]; k < start_[it->second + 1]; ++k) {
+      left->push_back(row);
+      right->push_back(rows_[k]);
+    }
+    return true;
+  }
+
+ private:
+  std::unordered_map<typename K::Type, uint32_t> group_of_;
+  std::vector<size_t> start_;  // Group g's rows: rows_[start_[g], start_[g+1]).
+  std::vector<size_t> rows_;
 };
 
-Result<JoinKey> MakeKey(const Column& col, size_t row) {
-  JoinKey k;
-  switch (col.type()) {
-    case DataType::kInt64:
-      k.is_string = false;
-      k.ival = col.GetInt64(row);
-      return k;
-    case DataType::kString:
-      k.is_string = true;
-      k.sval = col.GetString(row);
-      return k;
-    default:
-      return Status::InvalidArgument("join keys must be INT64 or STRING");
+// Left/right row pairs of the join in output order: left rows ascending, each
+// one's matches in right-row order; kNullRow pads unmatched left-outer rows.
+// Returns the micros spent building the hash table.
+template <typename K>
+uint64_t MatchRows(const Column& lcol, const Column& rcol, bool left_outer,
+                   std::vector<size_t>* left, std::vector<size_t>* right) {
+  Stopwatch build_watch;
+  const BuildSide<K> build(rcol);
+  const uint64_t build_us = build_watch.ElapsedMicros();
+  left->reserve(lcol.size());
+  right->reserve(lcol.size());
+  for (size_t i = 0; i < lcol.size(); ++i) {
+    const bool matched =
+        lcol.IsValid(i) && build.Probe(K::At(lcol, i), i, left, right);
+    if (!matched && left_outer) {
+      left->push_back(i);
+      right->push_back(Column::kNullRow);
+    }
   }
+  return build_us;
 }
 
 }  // namespace
+
+Result<Table> GatherJoinRows(const Table& left, const Table& right,
+                             const std::vector<size_t>& left_rows,
+                             const std::vector<size_t>& right_rows,
+                             const JoinOptions& options) {
+  if (left_rows.size() != right_rows.size()) {
+    return Status::InvalidArgument("join row selections differ in length");
+  }
+  Schema right_schema = right.schema();
+  if (options.type == JoinType::kLeftOuter) {
+    // Unmatched left rows are padded with NULLs on the right side, so every
+    // right field must be nullable in the output schema.
+    std::vector<Field> fields = right_schema.fields();
+    for (auto& f : fields) f.nullable = true;
+    right_schema = Schema(std::move(fields));
+  }
+  std::vector<Column> columns;
+  columns.reserve(left.num_columns() + right.num_columns());
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    columns.push_back(left.column(c).Gather(left_rows));
+  }
+  for (size_t c = 0; c < right.num_columns(); ++c) {
+    columns.push_back(right.column(c).Gather(right_rows));
+  }
+  return Table::FromColumns(left.schema().Concat(right_schema, options.clash_prefix),
+                            std::move(columns), left_rows.size());
+}
 
 Result<Table> HashJoin(const Table& left, const Table& right,
                        const std::string& left_key, const std::string& right_key,
@@ -100,60 +183,26 @@ Result<Table> HashJoin(const Table& left, const Table& right,
                                    std::string(DataTypeToString(lcol.type())) + " vs " +
                                    DataTypeToString(rcol.type()));
   }
+  if (lcol.type() != DataType::kInt64 && lcol.type() != DataType::kString) {
+    return Status::InvalidArgument("join keys must be INT64 or STRING");
+  }
 
   DMML_TRACE_SPAN("relational.hash_join");
 
-  // Build a hash table on the right input.
-  Stopwatch build_watch;
-  std::unordered_map<JoinKey, std::vector<size_t>, JoinKeyHash> build;
-  build.reserve(right.num_rows());
-  for (size_t i = 0; i < right.num_rows(); ++i) {
-    if (!rcol.IsValid(i)) continue;
-    DMML_ASSIGN_OR_RETURN(JoinKey key, MakeKey(rcol, i));
-    build[std::move(key)].push_back(i);
-  }
+  Stopwatch watch;
+  const bool left_outer = options.type == JoinType::kLeftOuter;
+  std::vector<size_t> lrows, rrows;
+  const uint64_t build_us =
+      lcol.type() == DataType::kInt64
+          ? MatchRows<Int64Key>(lcol, rcol, left_outer, &lrows, &rrows)
+          : MatchRows<StringKey>(lcol, rcol, left_outer, &lrows, &rrows);
+  Result<Table> out = GatherJoinRows(left, right, lrows, rrows, options);
   DMML_COUNTER_ADD("relational.join.rows_built", right.num_rows());
-  DMML_COUNTER_ADD("relational.join.build_us", build_watch.ElapsedMicros());
-
-  Schema right_schema = right.schema();
-  if (options.type == JoinType::kLeftOuter) {
-    // Unmatched left rows are padded with NULLs on the right side, so every
-    // right field must be nullable in the output schema.
-    std::vector<Field> fields = right_schema.fields();
-    for (auto& f : fields) f.nullable = true;
-    right_schema = Schema(std::move(fields));
-  }
-  Schema out_schema = left.schema().Concat(right_schema, options.clash_prefix);
-  Table out(out_schema);
-
-  const size_t right_arity = right.schema().num_fields();
-  Stopwatch probe_watch;
-  std::vector<Value> row;
-  row.reserve(out_schema.num_fields());
-  for (size_t i = 0; i < left.num_rows(); ++i) {
-    const std::vector<size_t>* matches = nullptr;
-    if (lcol.IsValid(i)) {
-      DMML_ASSIGN_OR_RETURN(JoinKey key, MakeKey(lcol, i));
-      auto it = build.find(key);
-      if (it != build.end()) matches = &it->second;
-    }
-    if (matches) {
-      for (size_t r : *matches) {
-        row = left.GetRow(i);
-        auto rrow = right.GetRow(r);
-        row.insert(row.end(), std::make_move_iterator(rrow.begin()),
-                   std::make_move_iterator(rrow.end()));
-        DMML_RETURN_IF_ERROR(out.AppendRow(row));
-      }
-    } else if (options.type == JoinType::kLeftOuter) {
-      row = left.GetRow(i);
-      row.resize(row.size() + right_arity, std::monostate{});
-      DMML_RETURN_IF_ERROR(out.AppendRow(row));
-    }
-  }
+  DMML_COUNTER_ADD("relational.join.build_us", build_us);
   DMML_COUNTER_ADD("relational.join.rows_probed", left.num_rows());
-  DMML_COUNTER_ADD("relational.join.rows_emitted", out.num_rows());
-  DMML_COUNTER_ADD("relational.join.probe_us", probe_watch.ElapsedMicros());
+  DMML_COUNTER_ADD("relational.join.rows_emitted", lrows.size());
+  // Probe plus output gather; the build is counted on its own.
+  DMML_COUNTER_ADD("relational.join.probe_us", watch.ElapsedMicros() - build_us);
   return out;
 }
 
@@ -280,9 +329,7 @@ Result<Table> OrderBy(const Table& input, const std::string& column, bool ascend
   std::stable_sort(order.begin(), order.end(), less);
   if (!ascending) std::reverse(order.begin(), order.end());
 
-  Table out(input.schema());
-  for (size_t i : order) DMML_RETURN_IF_ERROR(out.AppendRow(input.GetRow(i)));
-  return out;
+  return GatherRows(input, order);
 }
 
 Result<Table> Union(const Table& a, const Table& b) {
@@ -300,11 +347,9 @@ Result<Table> Union(const Table& a, const Table& b) {
 }
 
 Table Limit(const Table& input, size_t n) {
-  Table out(input.schema());
-  for (size_t i = 0; i < std::min(n, input.num_rows()); ++i) {
-    out.AppendRow(input.GetRow(i));
-  }
-  return out;
+  std::vector<size_t> rows(std::min(n, input.num_rows()));
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  return std::move(GatherRows(input, rows)).ValueOrDie();
 }
 
 }  // namespace dmml::relational

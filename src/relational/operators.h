@@ -45,6 +45,17 @@ Result<storage::Table> HashJoin(const storage::Table& left,
                                 const std::string& right_key,
                                 const JoinOptions& options = {});
 
+/// \brief The join output whose row k is left row `left_rows[k]` followed by
+/// right row `right_rows[k]` (storage::Column::kNullRow: NULL padding), one
+/// typed gather per column. The schema is the left schema concatenated with
+/// the right one under `options` (clash prefix; right fields nullable for
+/// kLeftOuter). Every join algorithm emits its matches through this.
+Result<storage::Table> GatherJoinRows(const storage::Table& left,
+                                      const storage::Table& right,
+                                      const std::vector<size_t>& left_rows,
+                                      const std::vector<size_t>& right_rows,
+                                      const JoinOptions& options);
+
 /// Aggregate function of one group-by output.
 enum class AggFunc { kCount, kSum, kAvg, kMin, kMax };
 

@@ -22,47 +22,30 @@ using storage::DataType;
 using storage::Table;
 using storage::Value;
 
-// Three-way comparison of a column cell with a literal; nullopt means
-// incomparable (NULL or type mismatch at runtime).
-std::optional<int> CompareCell(const storage::Column& col, size_t row,
-                               const Value& literal) {
-  if (!col.IsValid(row)) return std::nullopt;
-  switch (col.type()) {
-    case DataType::kInt64: {
-      // Allow comparing int columns against int or double literals.
-      if (const auto* i = std::get_if<int64_t>(&literal)) {
-        int64_t v = col.GetInt64(row);
-        return v < *i ? -1 : (v > *i ? 1 : 0);
-      }
-      if (const auto* d = std::get_if<double>(&literal)) {
-        double v = static_cast<double>(col.GetInt64(row));
-        return v < *d ? -1 : (v > *d ? 1 : 0);
-      }
-      return std::nullopt;
+// Three-way comparison; incomparable values (NaN) compare equal.
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+// (*keep)[i] = op(cmp(i), 0) for the valid rows of `col`; NULL rows stay 0.
+template <typename Cmp>
+void CompareRows(const storage::Column& col, CompareOp op, Cmp cmp,
+                 std::vector<uint8_t>* keep) {
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsValid(i)) continue;
+    const int c = cmp(i);
+    bool k = false;
+    switch (op) {
+      case CompareOp::kEq: k = c == 0; break;
+      case CompareOp::kNe: k = c != 0; break;
+      case CompareOp::kLt: k = c < 0; break;
+      case CompareOp::kLe: k = c <= 0; break;
+      case CompareOp::kGt: k = c > 0; break;
+      case CompareOp::kGe: k = c >= 0; break;
     }
-    case DataType::kDouble: {
-      double v = col.GetDouble(row);
-      double lit;
-      if (const auto* d = std::get_if<double>(&literal)) lit = *d;
-      else if (const auto* i = std::get_if<int64_t>(&literal)) lit = static_cast<double>(*i);
-      else return std::nullopt;
-      return v < lit ? -1 : (v > lit ? 1 : 0);
-    }
-    case DataType::kString: {
-      const auto* s = std::get_if<std::string>(&literal);
-      if (!s) return std::nullopt;
-      int c = col.GetString(row).compare(*s);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    case DataType::kBool: {
-      const auto* b = std::get_if<bool>(&literal);
-      if (!b) return std::nullopt;
-      int v = col.GetBool(row) ? 1 : 0;
-      int lit = *b ? 1 : 0;
-      return v < lit ? -1 : (v > lit ? 1 : 0);
-    }
+    (*keep)[i] = k ? 1 : 0;
   }
-  return std::nullopt;
 }
 
 class ComparePredicate : public Predicate {
@@ -70,25 +53,66 @@ class ComparePredicate : public Predicate {
   ComparePredicate(std::string column, CompareOp op, Value literal)
       : column_(std::move(column)), op_(op), literal_(std::move(literal)) {}
 
-  Result<bool> Evaluate(const Table& table, size_t row) const override {
+  Status Evaluate(const Table& table, std::vector<uint8_t>* keep) const override {
     DMML_ASSIGN_OR_RETURN(const storage::Column* col, table.ColumnByName(column_));
-    auto cmp = CompareCell(*col, row, literal_);
-    if (!cmp) return false;
-    switch (op_) {
-      case CompareOp::kEq: return *cmp == 0;
-      case CompareOp::kNe: return *cmp != 0;
-      case CompareOp::kLt: return *cmp < 0;
-      case CompareOp::kLe: return *cmp <= 0;
-      case CompareOp::kGt: return *cmp > 0;
-      case CompareOp::kGe: return *cmp >= 0;
+    keep->assign(table.num_rows(), 0);
+    const auto* i64 = std::get_if<int64_t>(&literal_);
+    const auto* f64 = std::get_if<double>(&literal_);
+    // A literal the column cannot compare against keeps no row.
+    switch (col->type()) {
+      case DataType::kInt64: {
+        const std::vector<int64_t>& v = col->int64_data();
+        if (i64 != nullptr) {
+          CompareRows(*col, op_, [&](size_t r) { return ThreeWay(v[r], *i64); },
+                      keep);
+        } else if (f64 != nullptr) {
+          CompareRows(*col, op_,
+                      [&](size_t r) {
+                        return ThreeWay(static_cast<double>(v[r]), *f64);
+                      },
+                      keep);
+        }
+        break;
+      }
+      case DataType::kDouble: {
+        if (i64 == nullptr && f64 == nullptr) break;
+        const double lit = f64 != nullptr ? *f64 : static_cast<double>(*i64);
+        const std::vector<double>& v = col->double_data();
+        CompareRows(*col, op_, [&](size_t r) { return ThreeWay(v[r], lit); },
+                    keep);
+        break;
+      }
+      case DataType::kString: {
+        const auto* lit = std::get_if<std::string>(&literal_);
+        if (lit == nullptr) break;
+        const std::vector<std::string>& v = col->string_data();
+        CompareRows(*col, op_,
+                    [&](size_t r) { return ThreeWay(v[r].compare(*lit), 0); },
+                    keep);
+        break;
+      }
+      case DataType::kBool: {
+        const auto* lit = std::get_if<bool>(&literal_);
+        if (lit == nullptr) break;
+        const std::vector<uint8_t>& v = col->bool_data();
+        const int l = *lit ? 1 : 0;
+        CompareRows(*col, op_,
+                    [&](size_t r) { return ThreeWay(v[r] != 0 ? 1 : 0, l); },
+                    keep);
+        break;
+      }
     }
-    return Status::Internal("unreachable compare op");
+    return Status::OK();
   }
 
   Status Validate(const storage::Schema& schema) const override {
     return schema.RequireField(column_).ok()
                ? Status::OK()
                : Status::NotFound("predicate references unknown column: " + column_);
+  }
+
+  void ReferencedColumns(std::vector<std::string>* columns) const override {
+    columns->push_back(column_);
   }
 
   double EstimateSelectivity(const TableStatistics& stats) const override {
@@ -132,16 +156,24 @@ class BinaryPredicate : public Predicate {
   BinaryPredicate(PredicatePtr lhs, PredicatePtr rhs, bool is_and)
       : lhs_(std::move(lhs)), rhs_(std::move(rhs)), is_and_(is_and) {}
 
-  Result<bool> Evaluate(const Table& table, size_t row) const override {
-    DMML_ASSIGN_OR_RETURN(bool l, lhs_->Evaluate(table, row));
-    if (is_and_ && !l) return false;
-    if (!is_and_ && l) return true;
-    return rhs_->Evaluate(table, row);
+  Status Evaluate(const Table& table, std::vector<uint8_t>* keep) const override {
+    DMML_RETURN_IF_ERROR(lhs_->Evaluate(table, keep));
+    std::vector<uint8_t> rhs;
+    DMML_RETURN_IF_ERROR(rhs_->Evaluate(table, &rhs));
+    for (size_t i = 0; i < keep->size(); ++i) {
+      (*keep)[i] = is_and_ ? ((*keep)[i] & rhs[i]) : ((*keep)[i] | rhs[i]);
+    }
+    return Status::OK();
   }
 
   Status Validate(const storage::Schema& schema) const override {
     DMML_RETURN_IF_ERROR(lhs_->Validate(schema));
     return rhs_->Validate(schema);
+  }
+
+  void ReferencedColumns(std::vector<std::string>* columns) const override {
+    lhs_->ReferencedColumns(columns);
+    rhs_->ReferencedColumns(columns);
   }
 
   double EstimateSelectivity(const TableStatistics& stats) const override {
@@ -160,13 +192,18 @@ class NotPredicate : public Predicate {
  public:
   explicit NotPredicate(PredicatePtr inner) : inner_(std::move(inner)) {}
 
-  Result<bool> Evaluate(const Table& table, size_t row) const override {
-    DMML_ASSIGN_OR_RETURN(bool v, inner_->Evaluate(table, row));
-    return !v;
+  Status Evaluate(const Table& table, std::vector<uint8_t>* keep) const override {
+    DMML_RETURN_IF_ERROR(inner_->Evaluate(table, keep));
+    for (uint8_t& k : *keep) k ^= 1;
+    return Status::OK();
   }
 
   Status Validate(const storage::Schema& schema) const override {
     return inner_->Validate(schema);
+  }
+
+  void ReferencedColumns(std::vector<std::string>* columns) const override {
+    inner_->ReferencedColumns(columns);
   }
 
   double EstimateSelectivity(const TableStatistics& stats) const override {
@@ -181,15 +218,21 @@ class IsNullPredicate : public Predicate {
  public:
   explicit IsNullPredicate(std::string column) : column_(std::move(column)) {}
 
-  Result<bool> Evaluate(const Table& table, size_t row) const override {
+  Status Evaluate(const Table& table, std::vector<uint8_t>* keep) const override {
     DMML_ASSIGN_OR_RETURN(const storage::Column* col, table.ColumnByName(column_));
-    return !col->IsValid(row);
+    keep->resize(table.num_rows());
+    for (size_t i = 0; i < keep->size(); ++i) (*keep)[i] = col->IsValid(i) ? 0 : 1;
+    return Status::OK();
   }
 
   Status Validate(const storage::Schema& schema) const override {
     return schema.RequireField(column_).ok()
                ? Status::OK()
                : Status::NotFound("predicate references unknown column: " + column_);
+  }
+
+  void ReferencedColumns(std::vector<std::string>* columns) const override {
+    columns->push_back(column_);
   }
 
   double EstimateSelectivity(const TableStatistics& stats) const override {

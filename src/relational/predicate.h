@@ -3,6 +3,7 @@
 #ifndef DMML_RELATIONAL_PREDICATE_H_
 #define DMML_RELATIONAL_PREDICATE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,18 +24,26 @@ inline constexpr double kDefaultSelectivity = 1.0 / 3.0;
 
 /// \brief A boolean row predicate tree (leaf comparisons, AND/OR/NOT).
 ///
-/// Predicates are evaluated column-at-a-time by Filter; Bind() resolves the
-/// column name against a concrete schema once per table.
+/// Predicates are evaluated column-at-a-time: Evaluate() hands back one
+/// keep-flag per row of the table. Each leaf resolves its column name once
+/// per call and compares that whole column in one typed loop; AND/OR/NOT
+/// combine their children's flag vectors.
 class Predicate {
  public:
   virtual ~Predicate() = default;
 
-  /// \brief Evaluates the predicate for row `row` of `table`.
+  /// \brief Sets (*keep)[i] to 1 for every row i of `table` the predicate
+  /// keeps and to 0 otherwise (`keep` is resized to table.num_rows()).
   /// NULL comparisons evaluate to false (SQL-ish three-valued collapse).
-  virtual Result<bool> Evaluate(const storage::Table& table, size_t row) const = 0;
+  virtual Status Evaluate(const storage::Table& table,
+                          std::vector<uint8_t>* keep) const = 0;
 
   /// \brief Checks the predicate is well-formed against `schema`.
   virtual Status Validate(const storage::Schema& schema) const = 0;
+
+  /// \brief Appends the column names the leaves read (the columns whose
+  /// statistics EstimateSelectivity consults).
+  virtual void ReferencedColumns(std::vector<std::string>* columns) const = 0;
 
   /// \brief Estimated fraction of rows the predicate keeps, given collected
   /// statistics for the input table. Leaf comparisons use histogram/ndv
@@ -56,7 +65,8 @@ PredicatePtr And(PredicatePtr lhs, PredicatePtr rhs);
 /// \brief Disjunction.
 PredicatePtr Or(PredicatePtr lhs, PredicatePtr rhs);
 
-/// \brief Negation (NULL-comparisons stay false, they do not become true).
+/// \brief Negation of the collapsed result: a row whose inner comparison met
+/// a NULL (and so was false) is kept by Not.
 PredicatePtr Not(PredicatePtr inner);
 
 /// \brief column IS NULL.

@@ -11,7 +11,6 @@ namespace dmml::relational {
 
 using storage::Column;
 using storage::DataType;
-using storage::Schema;
 using storage::Table;
 
 namespace {
@@ -66,9 +65,8 @@ Result<Table> SortMergeJoin(const Table& left, const Table& right,
   auto rorder = SortedKeyOrder(rcol, right.num_rows());
   DMML_COUNTER_ADD("relational.smj.sort_us", sort_watch.ElapsedMicros());
 
-  Schema out_schema = left.schema().Concat(right.schema(), clash_prefix);
-  Table out(out_schema);
   Stopwatch merge_watch;
+  std::vector<size_t> lrows, rrows;
 
   size_t li = 0, ri = 0;
   while (li < lorder.size() && ri < rorder.size()) {
@@ -91,19 +89,19 @@ Result<Table> SortMergeJoin(const Table& left, const Table& right,
       }
       for (size_t a = li; a <= lend; ++a) {
         for (size_t b = ri; b <= rend; ++b) {
-          auto row = left.GetRow(lorder[a]);
-          auto rrow = right.GetRow(rorder[b]);
-          row.insert(row.end(), std::make_move_iterator(rrow.begin()),
-                     std::make_move_iterator(rrow.end()));
-          DMML_RETURN_IF_ERROR(out.AppendRow(row));
+          lrows.push_back(lorder[a]);
+          rrows.push_back(rorder[b]);
         }
       }
       li = lend + 1;
       ri = rend + 1;
     }
   }
+  JoinOptions options;
+  options.clash_prefix = clash_prefix;
+  Result<Table> out = GatherJoinRows(left, right, lrows, rrows, options);
   DMML_COUNTER_ADD("relational.smj.merge_us", merge_watch.ElapsedMicros());
-  DMML_COUNTER_ADD("relational.smj.rows_emitted", out.num_rows());
+  DMML_COUNTER_ADD("relational.smj.rows_emitted", lrows.size());
   return out;
 }
 

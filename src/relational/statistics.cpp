@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstring>
+#include <limits>
+#include <string_view>
+
+#include "obs/metrics.h"
+#include "util/stopwatch.h"
 
 namespace dmml::relational {
 
@@ -17,6 +22,137 @@ const ColumnStatistics* TableStatistics::Find(const std::string& name) const {
   return nullptr;
 }
 
+namespace {
+
+// Number of distinct keys, by open addressing over a power-of-two table at
+// most half full (no per-key allocation).
+template <typename Key, typename Hash>
+size_t CountDistinct(const std::vector<Key>& keys, Hash hash) {
+  size_t capacity = 16;
+  while (capacity < 2 * keys.size()) capacity <<= 1;
+  const size_t mask = capacity - 1;
+  std::vector<Key> slots(capacity);
+  std::vector<uint8_t> used(capacity, 0);
+  size_t distinct = 0;
+  for (const Key& k : keys) {
+    size_t h = hash(k) & mask;
+    while (used[h] != 0 && !(slots[h] == k)) h = (h + 1) & mask;
+    if (used[h] == 0) {
+      used[h] = 1;
+      slots[h] = k;
+      ++distinct;
+    }
+  }
+  return distinct;
+}
+
+// splitmix64 finalizer: spreads the low-entropy low bits of doubles.
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Distinct doubles: -0.0 and +0.0 are one value, every NaN is one value.
+size_t CountDistinctDoubles(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  bits.reserve(values.size());
+  bool any_nan = false;
+  for (double v : values) {
+    if (std::isnan(v)) {
+      any_nan = true;
+      continue;
+    }
+    uint64_t b;
+    const double canonical = v == 0.0 ? 0.0 : v;
+    std::memcpy(&b, &canonical, sizeof(b));
+    bits.push_back(b);
+  }
+  return CountDistinct(bits, Mix64) + (any_nan ? 1 : 0);
+}
+
+// The non-NULL cells of a numeric column as doubles, in row order.
+std::vector<double> NumericValues(const Column& col) {
+  std::vector<double> out;
+  out.reserve(col.size() - col.null_count());
+  auto append = [&](const auto& data) {
+    for (size_t i = 0; i < col.size(); ++i) {
+      if (col.IsValid(i)) out.push_back(static_cast<double>(data[i]));
+    }
+  };
+  switch (col.type()) {
+    case DataType::kInt64: append(col.int64_data()); break;
+    case DataType::kDouble: append(col.double_data()); break;
+    case DataType::kBool: append(col.bool_data()); break;
+    case DataType::kString: break;
+  }
+  return out;
+}
+
+// min/max and the equi-width histogram over the finite values.
+void FillRange(const std::vector<double>& values, size_t buckets,
+               ColumnStatistics* cs) {
+  double mn = std::numeric_limits<double>::infinity();
+  double mx = -std::numeric_limits<double>::infinity();
+  bool any_finite = false;
+  for (double v : values) {
+    if (!std::isfinite(v)) continue;
+    any_finite = true;
+    mn = std::min(mn, v);
+    mx = std::max(mx, v);
+  }
+  if (!any_finite) return;
+  cs->min_value = mn;
+  cs->max_value = mx;
+  cs->histogram.assign(buckets, 0);
+  // mx - mn may overflow to inf; then pos is 0 or NaN, and both land in
+  // bucket 0 instead of reaching an undefined float-to-size_t cast.
+  const double width = (mx - mn) / static_cast<double>(buckets);
+  const double last = static_cast<double>(buckets - 1);
+  for (double v : values) {
+    if (!std::isfinite(v)) continue;
+    const double pos = width > 0 ? (v - mn) / width : 0.0;
+    const size_t bucket =
+        pos >= last ? buckets - 1 : (pos > 0 ? static_cast<size_t>(pos) : 0);
+    cs->histogram[bucket]++;
+  }
+}
+
+}  // namespace
+
+Result<ColumnStatistics> CollectColumnStatistics(const Column& column,
+                                                 std::string name,
+                                                 size_t histogram_buckets) {
+  if (histogram_buckets == 0) {
+    return Status::InvalidArgument("histogram_buckets must be >= 1");
+  }
+  Stopwatch watch;
+  ColumnStatistics cs;
+  cs.name = std::move(name);
+  cs.num_rows = column.size();
+  cs.null_count = column.null_count();
+  if (column.type() == DataType::kString) {
+    std::vector<std::string_view> keys;
+    keys.reserve(column.size() - column.null_count());
+    const std::vector<std::string>& data = column.string_data();
+    for (size_t i = 0; i < column.size(); ++i) {
+      if (column.IsValid(i)) keys.emplace_back(data[i]);
+    }
+    cs.distinct_count = CountDistinct(keys, std::hash<std::string_view>());
+  } else {
+    const std::vector<double> values = NumericValues(column);
+    cs.distinct_count = CountDistinctDoubles(values);
+    FillRange(values, histogram_buckets, &cs);
+  }
+  DMML_COUNTER_INC("relational.stats.columns_collected");
+  DMML_HISTOGRAM_OBSERVE("relational.stats.collect_us",
+                         obs::ExponentialBuckets(10, 4, 8),
+                         static_cast<double>(watch.ElapsedMicros()));
+  return cs;
+}
+
 Result<TableStatistics> CollectStatistics(const Table& table,
                                           size_t histogram_buckets) {
   if (histogram_buckets == 0) {
@@ -25,46 +161,10 @@ Result<TableStatistics> CollectStatistics(const Table& table,
   TableStatistics stats;
   stats.num_rows = table.num_rows();
   for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    ColumnStatistics cs;
-    cs.name = table.schema().field(c).name;
-    cs.num_rows = table.num_rows();
-    cs.null_count = col.null_count();
-
-    if (col.type() == DataType::kString) {
-      std::unordered_set<std::string> distinct;
-      for (size_t i = 0; i < table.num_rows(); ++i) {
-        if (col.IsValid(i)) distinct.insert(col.GetString(i));
-      }
-      cs.distinct_count = distinct.size();
-    } else {
-      std::unordered_set<double> distinct;
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < table.num_rows(); ++i) {
-        if (!col.IsValid(i)) continue;
-        double v = *col.GetNumeric(i);
-        distinct.insert(v);
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-      cs.distinct_count = distinct.size();
-      if (!distinct.empty()) {
-        cs.min_value = mn;
-        cs.max_value = mx;
-        cs.histogram.assign(histogram_buckets, 0);
-        double width = (mx - mn) / static_cast<double>(histogram_buckets);
-        for (size_t i = 0; i < table.num_rows(); ++i) {
-          if (!col.IsValid(i)) continue;
-          double v = *col.GetNumeric(i);
-          size_t bucket =
-              width > 0 ? std::min(histogram_buckets - 1,
-                                   static_cast<size_t>((v - mn) / width))
-                        : 0;
-          cs.histogram[bucket]++;
-        }
-      }
-    }
+    DMML_ASSIGN_OR_RETURN(
+        ColumnStatistics cs,
+        CollectColumnStatistics(table.column(c), table.schema().field(c).name,
+                                histogram_buckets));
     stats.columns.push_back(std::move(cs));
   }
   return stats;

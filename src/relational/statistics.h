@@ -15,15 +15,20 @@
 namespace dmml::relational {
 
 /// \brief Statistics for one column.
+///
+/// Numeric columns (int64 and bool read as doubles) keep non-finite values
+/// out of min/max and the histogram; they count only towards
+/// distinct_count, where all NaNs together are one value and +inf and -inf
+/// one each. -0.0 and +0.0 are one value.
 struct ColumnStatistics {
   std::string name;
   size_t num_rows = 0;
   size_t null_count = 0;
-  size_t distinct_count = 0;          ///< Exact (hash-based).
-  std::optional<double> min_value;    ///< Numeric columns only.
+  size_t distinct_count = 0;          ///< Exact, over the non-NULL values.
+  std::optional<double> min_value;    ///< Finite numeric values only.
   std::optional<double> max_value;
-  /// Equi-width histogram over [min, max] for numeric columns (empty for
-  /// strings or all-NULL columns).
+  /// Equi-width histogram of the finite values over [min, max] (empty for
+  /// strings and for columns with no finite value).
   std::vector<size_t> histogram;
 };
 
@@ -36,8 +41,15 @@ struct TableStatistics {
   const ColumnStatistics* Find(const std::string& name) const;
 };
 
-/// \brief Collects exact statistics in one pass per column.
-/// `histogram_buckets` controls numeric histogram resolution.
+/// \brief Collects exact statistics of one column named `name`, reading its
+/// typed buffer directly. `histogram_buckets` (>= 1) sets the numeric
+/// histogram resolution. Bumps the `relational.stats.columns_collected`
+/// counter and observes `relational.stats.collect_us`.
+Result<ColumnStatistics> CollectColumnStatistics(const storage::Column& column,
+                                                 std::string name,
+                                                 size_t histogram_buckets = 16);
+
+/// \brief CollectColumnStatistics over every column of `table`.
 Result<TableStatistics> CollectStatistics(const storage::Table& table,
                                           size_t histogram_buckets = 16);
 

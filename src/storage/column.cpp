@@ -88,6 +88,54 @@ void Column::AppendBool(bool v) {
   valid_.push_back(1);
 }
 
+namespace {
+
+// dst[k] = src[rows[k]] for valid rows, T{} under NULLs; returns the NULLs.
+template <typename T>
+size_t GatherTyped(const std::vector<T>& src, const std::vector<uint8_t>& valid,
+                   const std::vector<size_t>& rows, std::vector<T>* dst,
+                   std::vector<uint8_t>* dst_valid) {
+  dst->resize(rows.size());
+  dst_valid->resize(rows.size());
+  size_t nulls = 0;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const size_t r = rows[k];
+    const bool ok = r != Column::kNullRow && valid[r] != 0;
+    (*dst_valid)[k] = ok ? 1 : 0;
+    if (ok) {
+      (*dst)[k] = src[r];
+    } else {
+      ++nulls;
+    }
+  }
+  return nulls;
+}
+
+}  // namespace
+
+Column Column::Gather(const std::vector<size_t>& rows) const {
+  Column out(type_);
+  switch (type_) {
+    case DataType::kInt64:
+      out.null_count_ =
+          GatherTyped(int64_data_, valid_, rows, &out.int64_data_, &out.valid_);
+      break;
+    case DataType::kDouble:
+      out.null_count_ =
+          GatherTyped(double_data_, valid_, rows, &out.double_data_, &out.valid_);
+      break;
+    case DataType::kString:
+      out.null_count_ =
+          GatherTyped(string_data_, valid_, rows, &out.string_data_, &out.valid_);
+      break;
+    case DataType::kBool:
+      out.null_count_ =
+          GatherTyped(bool_data_, valid_, rows, &out.bool_data_, &out.valid_);
+      break;
+  }
+  return out;
+}
+
 Value Column::GetValue(size_t i) const {
   if (!IsValid(i)) return std::monostate{};
   switch (type_) {

@@ -4,6 +4,7 @@
 #define DMML_STORAGE_COLUMN_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <variant>
 #include <vector>
@@ -28,6 +29,9 @@ std::string ValueToString(const Value& v);
 /// This trades a little space for a simple, cache-friendly accessor story.
 class Column {
  public:
+  /// Row index that makes Gather emit a NULL (left-outer join padding).
+  static constexpr size_t kNullRow = std::numeric_limits<size_t>::max();
+
   explicit Column(DataType type) : type_(type) {}
 
   DataType type() const { return type_; }
@@ -63,6 +67,11 @@ class Column {
   /// \brief Numeric view: int64/bool/double as double; Status error otherwise
   /// or for NULL.
   Result<double> GetNumeric(size_t i) const;
+
+  /// \brief New column of the same type whose row k is row `rows[k]` of this
+  /// one (kNullRow, or a NULL source row, gives NULL). One typed pass: the
+  /// relational operators build every output column this way.
+  Column Gather(const std::vector<size_t>& rows) const;
 
   /// \brief Direct access to the raw typed buffers (for vectorized readers).
   const std::vector<int64_t>& int64_data() const { return int64_data_; }

@@ -12,6 +12,33 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   for (const auto& f : schema_.fields()) columns_.emplace_back(f.type);
 }
 
+Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns,
+                                 size_t num_rows) {
+  if (columns.size() != schema.num_fields()) {
+    return Status::InvalidArgument("column count " + std::to_string(columns.size()) +
+                                   " does not match schema arity " +
+                                   std::to_string(schema.num_fields()));
+  }
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const Field& f = schema.field(i);
+    if (columns[i].type() != f.type) {
+      return Status::InvalidArgument("type mismatch in field " + f.name);
+    }
+    if (columns[i].size() != num_rows) {
+      return Status::InvalidArgument("column " + f.name + " has " +
+                                     std::to_string(columns[i].size()) +
+                                     " rows, expected " + std::to_string(num_rows));
+    }
+    if (!f.nullable && columns[i].null_count() > 0) {
+      return Status::InvalidArgument("NULL in non-nullable field " + f.name);
+    }
+  }
+  Table out(std::move(schema));
+  out.columns_ = std::move(columns);
+  out.num_rows_ = num_rows;
+  return out;
+}
+
 Result<const Column*> Table::ColumnByName(const std::string& name) const {
   DMML_ASSIGN_OR_RETURN(size_t idx, schema_.RequireField(name));
   return &columns_[idx];

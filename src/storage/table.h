@@ -19,6 +19,12 @@ class Table {
  public:
   explicit Table(Schema schema);
 
+  /// \brief Table of `num_rows` rows over already-built columns (one per
+  /// field, each `num_rows` long, matching types, no NULLs in non-nullable
+  /// fields).
+  static Result<Table> FromColumns(Schema schema, std::vector<Column> columns,
+                                   size_t num_rows);
+
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

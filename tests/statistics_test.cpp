@@ -1,6 +1,9 @@
 // Tests for table statistics and cardinality estimation.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "data/generators.h"
 #include "relational/operators.h"
 #include "relational/statistics.h"
@@ -122,6 +125,53 @@ TEST(StatisticsTest, ConstantColumn) {
   EXPECT_NEAR(*EstimateSelectivity(stats, "c", CompareOp::kEq, 7.0), 1.0, 1e-12);
   EXPECT_NEAR(*EstimateSelectivity(stats, "c", CompareOp::kLe, 7.0), 1.0, 1e-12);
   EXPECT_NEAR(*EstimateSelectivity(stats, "c", CompareOp::kLt, 7.0), 0.0, 1e-12);
+}
+
+TEST(StatisticsTest, NonFiniteValuesStayOutOfRangeAndHistogram) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Table t(Schema({{"x", DataType::kDouble, true},
+                  {"nonfinite", DataType::kDouble, true},
+                  {"huge", DataType::kDouble, true}}));
+  const std::vector<storage::Value> x = {nan, 1.0, -0.0, inf,  nan,
+                                         0.0, -inf, 2.0, std::monostate{},
+                                         -nan};
+  const double nonfinite[] = {nan, inf, -inf};
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double huge = i % 2 == 0 ? -1e308 : 1e308;
+    ASSERT_TRUE(t.AppendRow({x[i], nonfinite[i % 3], huge}).ok());
+  }
+  auto stats = *CollectStatistics(t, 4);
+
+  const auto* c = stats.Find("x");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->null_count, 1u);
+  // NaN (all three, either sign) is one value, -0.0/+0.0 one, ±inf two, 1, 2.
+  EXPECT_EQ(c->distinct_count, 6u);
+  EXPECT_EQ(*c->min_value, 0.0);
+  EXPECT_EQ(*c->max_value, 2.0);
+  size_t finite = 0;
+  for (size_t b : c->histogram) finite += b;
+  EXPECT_EQ(finite, 4u);  // -0.0, 0.0, 1.0, 2.0.
+  EXPECT_EQ(c->histogram.front(), 2u);
+  EXPECT_EQ(c->histogram.back(), 1u);
+
+  const auto* nf = stats.Find("nonfinite");
+  ASSERT_NE(nf, nullptr);
+  EXPECT_EQ(nf->distinct_count, 3u);
+  EXPECT_FALSE(nf->min_value.has_value());
+  EXPECT_FALSE(nf->max_value.has_value());
+  EXPECT_TRUE(nf->histogram.empty());
+  EXPECT_DOUBLE_EQ(*EstimateSelectivity(stats, "nonfinite", CompareOp::kLt, 0.0),
+                   0.0);
+
+  // max - min overflows to inf: every value still lands in a bucket.
+  const auto* h = stats.Find("huge");
+  ASSERT_NE(h, nullptr);
+  size_t total = 0;
+  for (size_t b : h->histogram) total += b;
+  EXPECT_EQ(total, x.size());
+  EXPECT_EQ(h->distinct_count, 2u);
 }
 
 }  // namespace
